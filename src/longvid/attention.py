@@ -287,19 +287,6 @@ def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> At
     return AttentionOutput(a=a, per_window=per_window, window_grid=window_counts(T, H, W, spec))
 
 
-def cross_window_mask(t: int, h: int, w: int, spec: WindowSpec) -> np.ndarray:
-    """Additive (n, n) mask that is -1e9 exactly between different windows."""
-    sh, sw = spec.resolve_spatial(h, w)
-    wid = np.empty((t, h, w), dtype=np.int64)
-    nt, nh, nw = window_counts(t, h, w, spec)
-    for ti in range(t):
-        for hi in range(h):
-            for wi in range(w):
-                wid[ti, hi, wi] = ((ti // spec.temporal) * nh + hi // sh) * nw + wi // sw
-    flat = wid.reshape(-1)
-    return np.where(flat[:, None] == flat[None, :], 0.0, -1e9)
-
-
 def masked_full_attention_reference(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> DiffArray:
     """Oracle path: full attention over the flattened grid with an additive
     cross-window mask (and the relative bias placed block-locally). Must

@@ -89,13 +89,9 @@ def _plan(lines: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args, cfg: Config) -> int:
     from .data import generate, write_shard
 
-    cfg = _load(args)
-    if args.dump_config:
-        print(dump_config(cfg), end="")
-        return EXIT_OK
     out = Path(args.out or cfg.data.out_dir)
     if args.dry_run:
         return _plan(
@@ -111,35 +107,22 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _load_train_data(cfg: Config):
+def _load_split(cfg: Config, split: str):
+    """The samples of one split ("train" or "eval"): read from its shard
+    under data.out_dir if there is one, else generated."""
     from .data import generate, read_shard
 
-    shard = Path(cfg.data.out_dir) / "train.shard"
+    shard = Path(cfg.data.out_dir) / f"{split}.shard"
     if shard.exists():
         samples, _ = read_shard(shard)
         return samples
-    train, _ = generate(cfg.data, cfg.seed)
-    return train
+    train, eval_ = generate(cfg.data, cfg.seed)
+    return train if split == "train" else eval_
 
 
-def _load_eval_data(cfg: Config):
-    from .data import generate, read_shard
-
-    shard = Path(cfg.data.out_dir) / "eval.shard"
-    if shard.exists():
-        samples, _ = read_shard(shard)
-        return samples
-    _, eval_ = generate(cfg.data, cfg.seed)
-    return eval_
-
-
-def cmd_train_stage1(args) -> int:
+def cmd_train_stage1(args, cfg: Config) -> int:
     from .pipeline import DivergenceError, train_stage1
 
-    cfg = _load(args)
-    if args.dump_config:
-        print(dump_config(cfg), end="")
-        return EXIT_OK
     out = Path(args.out or cfg.train.out_dir)
     steps = args.steps if args.steps is not None else cfg.train.stage1_steps
     if args.dry_run:
@@ -149,7 +132,7 @@ def cmd_train_stage1(args) -> int:
                 f"write {out / 'stage1_metrics.csv'} and {out / 'stage1.ckpt'}",
             ]
         )
-    data = _load_train_data(cfg)
+    data = _load_split(cfg, "train")
     try:
         _, state, rows = train_stage1(cfg, data, out_dir=out, steps=steps)
     except DivergenceError as e:
@@ -159,13 +142,9 @@ def cmd_train_stage1(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_stage2(args) -> int:
+def cmd_train_stage2(args, cfg: Config) -> int:
     from .pipeline import DivergenceError, MissingCheckpointError, load_checkpoint, train_stage2
 
-    cfg = _load(args)
-    if args.dump_config:
-        print(dump_config(cfg), end="")
-        return EXIT_OK
     out = Path(args.out or cfg.train.out_dir)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "stage1.ckpt"
     steps = args.steps if args.steps is not None else cfg.train.stage2_steps
@@ -182,7 +161,7 @@ def cmd_train_stage2(args) -> int:
     except MissingCheckpointError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    data = _load_train_data(cfg)
+    data = _load_split(cfg, "train")
     try:
         _, state, rows = train_stage2(cfg, stage1_params, data, out_dir=out, steps=steps)
     except DivergenceError as e:
@@ -192,7 +171,7 @@ def cmd_train_stage2(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval_retrieval(args) -> int:
+def cmd_eval_retrieval(args, cfg: Config) -> int:
     from .pipeline import (
         MissingCheckpointError,
         build_stage1_model,
@@ -202,10 +181,6 @@ def cmd_eval_retrieval(args) -> int:
         write_retrieval_csv,
     )
 
-    cfg = _load(args)
-    if args.dump_config:
-        print(dump_config(cfg), end="")
-        return EXIT_OK
     out = Path(args.out or cfg.train.out_dir)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "stage1.ckpt"
     if args.dry_run:
@@ -223,7 +198,7 @@ def cmd_eval_retrieval(args) -> int:
         return EXIT_CONFIG
     model = build_stage1_model(cfg, cfg.seed)
     load_params(model.params(), params, required_prefixes=("text.", "video.", "heads."))
-    report = eval_retrieval(model, _load_eval_data(cfg))
+    report = eval_retrieval(model, _load_split(cfg, "eval"))
     write_retrieval_csv(out / "retrieval.csv", report)
     print(
         f"retrieval over {report.count} items: R@1 {report.r_at_1:.4f}  R@5 {report.r_at_5:.4f}  MedR {report.median_rank:.1f}"
@@ -231,13 +206,9 @@ def cmd_eval_retrieval(args) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args, cfg: Config) -> int:
     from .pipeline import gradcheck_config, gradcheck_stage1
 
-    cfg = _load(args)
-    if args.dump_config:
-        print(dump_config(cfg), end="")
-        return EXIT_OK
     try:
         seeds = tuple(int(s) for s in args.seeds.split(","))
     except ValueError:
@@ -258,11 +229,7 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if report.ok else EXIT_GRADCHECK
 
 
-def cmd_analyze_cost(args) -> int:
-    cfg = _load(args)
-    if args.dump_config:
-        print(dump_config(cfg), end="")
-        return EXIT_OK
+def cmd_analyze_cost(args, cfg: Config) -> int:
     frames = args.frames if args.frames is not None else cfg.data.frames
     base = cfg.model.video.schedule
     if args.schedule:
@@ -319,7 +286,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = _load(args)
+        if args.dump_config:
+            print(dump_config(cfg), end="")
+            return EXIT_OK
+        return _COMMANDS[args.command](args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

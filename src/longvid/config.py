@@ -10,6 +10,7 @@ settings, seeds and paths.
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -288,7 +289,13 @@ def _coerce_int(doc, path, minimum=None) -> int:
     return doc
 
 
+# A decimal or scientific number; YAML 1.1 reads 1e-3 and 1.0e9 as strings.
+_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
 def _coerce_float(doc, path, minimum=None, positive=False) -> float:
+    if isinstance(doc, str) and _NUMBER.fullmatch(doc):
+        doc = float(doc)
     if isinstance(doc, bool) or not isinstance(doc, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {doc!r}")
     v = float(doc)

@@ -4,12 +4,13 @@ alignment.
 Each sample carries M latent topic vectors produced by a bounded-step random
 walk, so temporal distance and topic distance correlate. Clip m's frames are
 noisy linear images of topic m; sentence m's tokens are drawn from a
-topic-conditioned vocabulary distribution. The latent script is retained as
-ground truth for probes.
+topic-conditioned vocabulary distribution. The latent topics are kept on each
+sample as ground truth for probes.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CLS_ID, DataConfig, MASK_ID, NUM_SPECIAL, PAD_ID
+from .config import CLS_ID, ConfigError, DataConfig, MASK_ID, NUM_SPECIAL, PAD_ID
 
 # rng stream tags (mixed into the seed sequence so streams never collide)
 _GLOBAL_STREAM = 101
@@ -25,14 +26,6 @@ _SAMPLE_STREAM = 102
 
 SHARD_MAGIC = b"LVDS"
 SHARD_VERSION = 1
-
-
-@dataclass(frozen=True)
-class LatentScript:
-    """Ground-truth topics for one sample: (M, topic_dim), unit rows."""
-
-    sample_id: int
-    topics: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -44,10 +37,6 @@ class PairedSample:
     patches: np.ndarray  # (M, N, H, W, patch_dim) float64
     tokens: np.ndarray  # (M, L) int64, [CLS] first, [PAD] tail
     lengths: np.ndarray  # (M,) int64 real token counts incl. [CLS]
-
-    @property
-    def script(self) -> LatentScript:
-        return LatentScript(self.sample_id, self.topics)
 
 
 @dataclass
@@ -220,6 +209,19 @@ def vtm_pairs(patches: np.ndarray, prob: float, rng: np.random.Generator) -> tup
 _HEADER = struct.Struct("<4sI9I")  # magic, version, M N H W p L vocab count topic_dim
 
 
+class TruncatedFileError(ConfigError):
+    """A shard or checkpoint ends before the bytes its header promises."""
+
+
+def read_exact(fh, n: int, path) -> bytes:
+    """Exactly n bytes from fh, or TruncatedFileError; a corrupt header's
+    huge byte count is refused before anything is allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise TruncatedFileError(f"{path}: truncated file (wanted {n} bytes at offset {fh.tell()}, {left} left)")
+    return fh.read(n)
+
+
 def write_shard(path: str | Path, samples: list[PairedSample], cfg: DataConfig) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -250,14 +252,11 @@ def write_shard(path: str | Path, samples: list[PairedSample], cfg: DataConfig) 
 def read_shard(path: str | Path) -> tuple[list[PairedSample], dict]:
     path = Path(path)
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ValueError(f"{path}: truncated shard header")
-        magic, version, M, N, H, W, p, L, vocab, count, dz = _HEADER.unpack(head)
+        magic, version, M, N, H, W, p, L, vocab, count, dz = _HEADER.unpack(read_exact(fh, _HEADER.size, path))
         if magic != SHARD_MAGIC:
-            raise ValueError(f"{path}: not a data shard (magic {magic!r})")
+            raise ConfigError(f"{path}: not a data shard (magic {magic!r})")
         if version != SHARD_VERSION:
-            raise ValueError(f"{path}: unsupported shard version {version}")
+            raise ConfigError(f"{path}: unsupported shard version {version}")
         meta = {
             "clips": M,
             "frames_per_clip": N,
@@ -271,13 +270,13 @@ def read_shard(path: str | Path) -> tuple[list[PairedSample], dict]:
         }
         samples = []
         for _ in range(count):
-            (sid,) = struct.unpack("<Q", fh.read(8))
-            topics = np.frombuffer(fh.read(8 * M * dz), dtype="<f8").reshape(M, dz).copy()
+            (sid,) = struct.unpack("<Q", read_exact(fh, 8, path))
+            topics = np.frombuffer(read_exact(fh, 8 * M * dz, path), dtype="<f8").reshape(M, dz).copy()
             patches = (
-                np.frombuffer(fh.read(8 * M * N * H * W * p), dtype="<f8").reshape(M, N, H, W, p).copy()
+                np.frombuffer(read_exact(fh, 8 * M * N * H * W * p, path), dtype="<f8").reshape(M, N, H, W, p).copy()
             )
-            tokens = np.frombuffer(fh.read(4 * M * L), dtype="<u4").reshape(M, L).astype(np.int64)
-            lengths = np.frombuffer(fh.read(4 * M), dtype="<u4").astype(np.int64)
+            tokens = np.frombuffer(read_exact(fh, 4 * M * L, path), dtype="<u4").reshape(M, L).astype(np.int64)
+            lengths = np.frombuffer(read_exact(fh, 4 * M, path), dtype="<u4").astype(np.int64)
             samples.append(PairedSample(sid, topics, patches, tokens, lengths))
         trailing = fh.read(1)
         if trailing:

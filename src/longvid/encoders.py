@@ -166,7 +166,6 @@ class VideoOutput:
     clip_feats: DiffArray  # (B, M, d_clip)
     video_feat: DiffArray  # (B, d_final)
     feature_map: DiffArray  # (B, T, Hf, Wf, d_final)
-    stage_maps: list[DiffArray]  # per-stage outputs (kept for locality tests)
 
 
 def _mean_pool_2x2(x: DiffArray) -> DiffArray:
@@ -260,7 +259,7 @@ class VideoEncoder:
 
         B, T, Hf, Wf, Df = final.shape
         video_feat = O.mean(O.reshape(final, (B, T * Hf * Wf, Df)), axis=1)
-        return VideoOutput(clip_feats=clip_feats, video_feat=video_feat, feature_map=final, stage_maps=maps)
+        return VideoOutput(clip_feats=clip_feats, video_feat=video_feat, feature_map=final)
 
 
 # ---------------------------------------------------------------------------

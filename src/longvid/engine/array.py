@@ -90,8 +90,6 @@ class Tape:
 
     def record(self, inputs, output, backward_fn) -> None:
         output.requires_grad = True
-        output.node_id = len(self.ops)
-        output._tape = self
         self.ops.append(_TapeOp(tuple(inputs), output, backward_fn))
 
     def backward(self, loss: "DiffArray") -> None:
@@ -117,14 +115,12 @@ class Tape:
 class DiffArray:
     """Dense float64 array with shape, values and an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_tape")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: np.ndarray = np.ascontiguousarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.node_id: int | None = None
-        self._tape: Tape | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -175,7 +171,8 @@ def constant(data) -> DiffArray:
 
 
 def backward(loss: DiffArray) -> None:
-    """Run reverse-mode differentiation from a scalar loss."""
-    if loss._tape is None:
-        raise EngineError("loss was not recorded on a tape (is a Tape active?)")
-    loss._tape.backward(loss)
+    """Run reverse-mode differentiation from a scalar loss on the active tape."""
+    tape = active_tape()
+    if tape is None:
+        raise EngineError("no tape is active (backward must run inside a Tape block)")
+    tape.backward(loss)

@@ -46,14 +46,18 @@ def analytic_gradients(f, arrays: list[DiffArray]) -> list[np.ndarray]:
     return [np.zeros_like(a.data) if a.grad is None else a.grad.copy() for a in arrays]
 
 
-def numeric_gradient(f, arrays: list[DiffArray], which: int, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Central differences of f w.r.t. one array, entry by entry."""
+def numeric_gradient(f, arrays: list[DiffArray], which: int, h: float = DEFAULT_STEP, entries=None) -> np.ndarray:
+    """Central differences of f w.r.t. one array, entry by entry.
+
+    `entries` are the flat indices to perturb (all of them by default); the
+    gradient of every other entry is left at 0.
+    """
     target = arrays[which]
     grad = np.zeros_like(target.data)
     flat = target.data.reshape(-1)
     gflat = grad.reshape(-1)
     with no_tape():
-        for i in range(flat.size):
+        for i in range(flat.size) if entries is None else entries:
             keep = flat[i]
             flat[i] = keep + h
             up = f(*arrays).item()

@@ -46,11 +46,3 @@ def flatten_params(tree: dict, prefix: str = "") -> dict[str, DiffArray]:
             raise TypeError(f"unexpected leaf at {path}: {type(value)!r}")
     return flat
 
-
-def param_count(tree: dict) -> int:
-    return sum(p.size for p in flatten_params(tree).values())
-
-
-def zero_grads(tree: dict) -> None:
-    for p in flatten_params(tree).values():
-        p.zero_grad()

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config, ConfigError, build_config, merge_config_dict
-from .data import PairedSample, generate, mask_tokens, stack_batch, vtm_pairs
+from .data import PairedSample, generate, mask_tokens, read_exact, stack_batch, vtm_pairs
 from .encoders import (
     ContrastiveHeads,
     CrossEncoder,
@@ -29,7 +29,7 @@ from .encoders import (
     VideoEncoder,
     encode_pair,
 )
-from .engine import DiffArray, Tape, constant, no_tape
+from .engine import DiffArray, Tape, analytic_gradients, constant, no_tape, numeric_gradient
 from .objectives import (
     MtcSampling,
     global_contrastive_loss,
@@ -252,20 +252,20 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, int]:
     if not path.exists():
         raise MissingCheckpointError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
-        if fh.read(4) != CKPT_MAGIC:
+        if read_exact(fh, 4, path) != CKPT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")
-        version, stage_len, step, count = struct.unpack("<IHQI", fh.read(18))
+        version, stage_len, step, count = struct.unpack("<IHQI", read_exact(fh, 18, path))
         if version != CKPT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        stage = fh.read(stage_len).decode()
+        stage = read_exact(fh, stage_len, path).decode()
         params: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (klen,) = struct.unpack("<H", fh.read(2))
-            key = fh.read(klen).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            n = int(np.prod(shape)) if shape else 1
-            params[key] = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy()
+            (klen,) = struct.unpack("<H", read_exact(fh, 2, path))
+            key = read_exact(fh, klen, path).decode()
+            (ndim,) = struct.unpack("<B", read_exact(fh, 1, path))
+            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, path))
+            n = int(np.prod(shape))
+            params[key] = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<f8").reshape(shape).copy()
     return params, stage, step
 
 
@@ -279,6 +279,51 @@ def digest_params(params: dict, prefixes: tuple[str, ...] = ()) -> str:
         h.update(key.encode())
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the training loop of both stages
+# ---------------------------------------------------------------------------
+
+
+def _train(
+    cfg: Config,
+    state: TrainState,
+    train_data: list[PairedSample],
+    total_steps: int,
+    out_dir: str | Path | None,
+    batch_loss,
+) -> list[dict]:
+    """The step loop of both stages: `batch_loss(batch, step)` returns the
+    total loss and the stage's named losses. Writes `<stage>_metrics.csv`
+    and `<stage>.ckpt` under out_dir, if given."""
+    steps_per_epoch = max(1, len(train_data) // cfg.train.batch_size)
+    warmup = round(cfg.train.warmup_epochs * steps_per_epoch)
+    rows: list[dict] = []
+
+    for step, idx in enumerate(batch_indices(len(train_data), cfg.train.batch_size, total_steps, cfg.seed)):
+        lr = lr_at(step, total_steps, warmup, cfg.train.learning_rate)
+        for p in state.params.values():
+            p.zero_grad()
+        with Tape() as tape:
+            total, losses = batch_loss([train_data[i] for i in idx], step)
+            loss_val = total.item()
+            if not np.isfinite(loss_val):
+                if out_dir is not None:
+                    save_checkpoint(Path(out_dir) / f"{state.stage}_lastgood.ckpt", state.params, state.stage, step)
+                raise DivergenceError(f"non-finite loss at step {step}; last good parameters saved")
+            tape.backward(total)
+        adamw_step(state, lr, cfg)
+        row = dict.fromkeys(METRICS_COLUMNS)
+        row.update(step=step, lr=lr, loss_total=loss_val)
+        row.update((name, None if loss is None else loss.item()) for name, loss in losses.items())
+        rows.append(row)
+
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        write_metrics_csv(out_dir / f"{state.stage}_metrics.csv", rows)
+        save_checkpoint(out_dir / f"{state.stage}.ckpt", state.params, state.stage, state.step)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -307,49 +352,15 @@ def train_stage1(
     out_dir: str | Path | None = None,
     steps: int | None = None,
 ) -> tuple[Stage1Model, TrainState, list[dict]]:
-    seed = cfg.seed
-    model = build_stage1_model(cfg, seed)
-    state = TrainState.fresh(model.params(), stage="stage1", seed=seed)
+    model = build_stage1_model(cfg, cfg.seed)
+    state = TrainState.fresh(model.params(), stage="stage1", seed=cfg.seed)
+
+    def batch_loss(batch: list[PairedSample], step: int):
+        total, l_global, l_mtc = stage1_batch_loss(model, cfg, *stack_batch(batch), step, cfg.seed)
+        return total, {"loss_global": l_global, "loss_mtc": l_mtc}
+
     total_steps = steps if steps is not None else cfg.train.stage1_steps
-    steps_per_epoch = max(1, len(train_data) // cfg.train.batch_size)
-    warmup = round(cfg.train.warmup_epochs * steps_per_epoch)
-    rows: list[dict] = []
-
-    for step, idx in enumerate(batch_indices(len(train_data), cfg.train.batch_size, total_steps, seed)):
-        lr = lr_at(step, total_steps, warmup, cfg.train.learning_rate)
-        tokens, pad, patches = stack_batch([train_data[i] for i in idx])
-        for p in state.params.values():
-            p.zero_grad()
-        with Tape() as tape:
-            total, l_global, l_mtc = stage1_batch_loss(model, cfg, tokens, pad, patches, step, seed)
-            loss_val = total.item()
-            if not np.isfinite(loss_val):
-                _abort_divergence(out_dir, state, step)
-            tape.backward(total)
-        adamw_step(state, lr, cfg)
-        rows.append(
-            {
-                "step": step,
-                "lr": lr,
-                "loss_total": loss_val,
-                "loss_global": l_global.item(),
-                "loss_mtc": None if l_mtc is None else l_mtc.item(),
-                "loss_mlm": None,
-                "loss_vtm": None,
-            }
-        )
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_metrics_csv(out_dir / "stage1_metrics.csv", rows)
-        save_checkpoint(out_dir / "stage1.ckpt", state.params, "stage1", state.step)
-    return model, state, rows
-
-
-def _abort_divergence(out_dir, state: TrainState, step: int):
-    if out_dir is not None:
-        save_checkpoint(Path(out_dir) / f"{state.stage}_lastgood.ckpt", state.params, state.stage, step)
-    raise DivergenceError(f"non-finite loss at step {step}; last good parameters saved")
+    return model, state, _train(cfg, state, train_data, total_steps, out_dir, batch_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -391,43 +402,15 @@ def train_stage2(
     out_dir: str | Path | None = None,
     steps: int | None = None,
 ) -> tuple[Stage2Model, TrainState, list[dict]]:
-    seed = cfg.seed
-    model = build_stage2_model(cfg, seed, stage1_params)
-    state = TrainState.fresh(model.params(), stage="stage2", seed=seed, frozen=STAGE2_FROZEN_PREFIXES)
+    model = build_stage2_model(cfg, cfg.seed, stage1_params)
+    state = TrainState.fresh(model.params(), stage="stage2", seed=cfg.seed, frozen=STAGE2_FROZEN_PREFIXES)
+
+    def batch_loss(batch: list[PairedSample], step: int):
+        total, l_mlm, l_vtm = stage2_batch_loss(model, cfg, batch, step, cfg.seed)
+        return total, {"loss_mlm": l_mlm, "loss_vtm": l_vtm}
+
     total_steps = steps if steps is not None else cfg.train.stage2_steps
-    steps_per_epoch = max(1, len(train_data) // cfg.train.batch_size)
-    warmup = round(cfg.train.warmup_epochs * steps_per_epoch)
-    rows: list[dict] = []
-
-    for step, idx in enumerate(batch_indices(len(train_data), cfg.train.batch_size, total_steps, seed)):
-        lr = lr_at(step, total_steps, warmup, cfg.train.learning_rate)
-        batch = [train_data[i] for i in idx]
-        for p in state.params.values():
-            p.zero_grad()
-        with Tape() as tape:
-            total, l_mlm, l_vtm = stage2_batch_loss(model, cfg, batch, step, seed)
-            loss_val = total.item()
-            if not np.isfinite(loss_val):
-                _abort_divergence(out_dir, state, step)
-            tape.backward(total)
-        adamw_step(state, lr, cfg)
-        rows.append(
-            {
-                "step": step,
-                "lr": lr,
-                "loss_total": loss_val,
-                "loss_global": None,
-                "loss_mtc": None,
-                "loss_mlm": l_mlm.item(),
-                "loss_vtm": l_vtm.item(),
-            }
-        )
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_metrics_csv(out_dir / "stage2_metrics.csv", rows)
-        save_checkpoint(out_dir / "stage2.ckpt", state.params, "stage2", state.step)
-    return model, state, rows
+    return model, state, _train(cfg, state, train_data, total_steps, out_dir, batch_loss)
 
 
 def vtm_eval_accuracy(model: Stage2Model, cfg: Config, eval_data: list[PairedSample], seed: int = 9) -> float:
@@ -605,42 +588,28 @@ def gradcheck_stage1(
         run_cfg = replace(cfg, seed=seed)
         model = build_stage1_model(run_cfg, seed)
         data, _ = generate(run_cfg.data, seed)
-        batch = data[: run_cfg.train.batch_size]
-        tokens, pad, patches = stack_batch(batch)
+        tokens, pad, patches = stack_batch(data[: run_cfg.train.batch_size])
         flat = model.params()
+        paths, arrays = list(flat), list(flat.values())
 
-        def compute_loss() -> DiffArray:
-            total, _, _ = stage1_batch_loss(model, run_cfg, tokens, pad, patches, step=0, seed=seed)
-            return total
+        def loss(*_):
+            return stage1_batch_loss(model, run_cfg, tokens, pad, patches, step=0, seed=seed)[0]
 
-        for p in flat.values():
-            p.zero_grad()
-        with Tape() as tape:
-            tape.backward(compute_loss())
-        analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in flat.items()}
-
-        entries: list[tuple[str, int]] = []
-        for path, p in flat.items():
-            if any(path.startswith(pre) for pre in head_prefixes):
-                entries.extend((path, i) for i in range(p.size))
-        rest = [(path, i) for path, p in flat.items() if not any(path.startswith(pre) for pre in head_prefixes) for i in range(p.size)]
+        # every head entry, then a seeded fraction of the rest: {array index: flat indices}
+        picked = {k: list(range(a.size)) for k, a in enumerate(arrays) if paths[k].startswith(tuple(head_prefixes))}
+        rest = [(k, i) for k, a in enumerate(arrays) if k not in picked for i in range(a.size)]
         rng = np.random.default_rng([seed, _GRADCHECK_STREAM])
         want = min(max_random_entries, max(1, int(len(rest) * sample_fraction)))
-        pick = rng.choice(len(rest), size=min(want, len(rest)), replace=False)
-        entries.extend(rest[i] for i in sorted(pick))
+        for j in sorted(rng.choice(len(rest), size=min(want, len(rest)), replace=False)):
+            k, i = rest[j]
+            picked.setdefault(k, []).append(i)
 
-        with no_tape():
-            for path, idx in entries:
-                buf = flat[path].data.reshape(-1)
-                keep = buf[idx]
-                buf[idx] = keep + h
-                up = compute_loss().item()
-                buf[idx] = keep - h
-                down = compute_loss().item()
-                buf[idx] = keep
-                numeric = (up - down) / (2 * h)
-                a = float(analytic[path].reshape(-1)[idx])
-                if abs(a - numeric) > atol + rtol * abs(numeric):
-                    report.failures.append(GradcheckFailure(path, idx, a, numeric))
+        analytic = analytic_gradients(loss, arrays)
+        for k, entries in picked.items():
+            numeric = numeric_gradient(loss, arrays, k, h=h, entries=entries).reshape(-1)
+            for i in entries:
+                a, n = float(analytic[k].reshape(-1)[i]), float(numeric[i])
+                if abs(a - n) > atol + rtol * abs(n):
+                    report.failures.append(GradcheckFailure(paths[k], i, a, n))
                 report.checked += 1
     return report

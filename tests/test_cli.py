@@ -12,6 +12,7 @@ import yaml
 
 import longvid
 from longvid.cli import EXIT_CONFIG, EXIT_OK, main
+from longvid.config import load_config
 
 FAST = [
     "--set", "data.train_samples=8",
@@ -104,6 +105,41 @@ def test_env_seed_used_when_flag_absent(workdir, capsys, monkeypatch):
     assert yaml.safe_load(capsys.readouterr().out)["seed"] == 5
 
 
+def test_scientific_notation_in_file_and_override(workdir, capsys):
+    cfg = workdir / "sci.yaml"
+    cfg.write_text("train:\n  learning_rate: 1e-3\n")
+    assert load_config(cfg).train.learning_rate == 0.001
+    assert load_config(None, overrides=["train.learning_rate=1e-3"]).train.learning_rate == 0.001
+    assert load_config(None, overrides=["losses.temperature=5.0e-2"]).losses.temperature == 0.05
+    assert main(["train-stage1", "--config", str(cfg), "--set", "train.beta2=9.99e-1", "--dry-run"]) == EXIT_OK
+    # read as the number -20.0, so the range check, not the type check, refuses it
+    assert main(["train-stage1", "--set", "train.weight_decay=-2E+1", "--dry-run"]) == EXIT_CONFIG
+    assert "train.weight_decay: must be >= 0.0, got -20.0" in capsys.readouterr().err
+
+
+def test_dumped_scientific_config_loads_back_equal(workdir, capsys):
+    cfg = workdir / "sci.yaml"
+    cfg.write_text("train:\n  learning_rate: 1e-3\n  adam_eps: 1.0e-9\n")
+    assert main(["train-stage1", "--config", str(cfg), "--dump-config"]) == EXIT_OK
+    dumped = workdir / "dumped.yaml"
+    dumped.write_text(capsys.readouterr().out)
+    assert load_config(dumped) == load_config(cfg)
+    assert load_config(dumped).train.adam_eps == 1e-9
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-3x", "abc"])
+def test_non_numbers_still_rejected(workdir, capsys, value):
+    code = main(["train-stage1", "--set", f"train.learning_rate={value}", "--dry-run"])
+    assert code == EXIT_CONFIG
+    assert "train.learning_rate: expected a number" in capsys.readouterr().err
+
+
+def test_integer_fields_refuse_scientific_notation(workdir, capsys):
+    code = main(["train-stage1", "--set", "train.batch_size=1e1", "--dry-run"])
+    assert code == EXIT_CONFIG
+    assert "train.batch_size: expected an integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # dry runs touch nothing
 # ---------------------------------------------------------------------------
@@ -157,6 +193,25 @@ def test_train_stage2_without_checkpoint_names_path(workdir, capsys):
     code = main(["train-stage2", *FAST])
     assert code != EXIT_OK
     assert "stage1.ckpt" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_config(workdir, capsys):
+    assert main(["train-stage1", *FAST]) == EXIT_OK
+    ckpt = workdir / "runs/toy/stage1.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:5000])
+    capsys.readouterr()
+    assert main(["eval-retrieval", *FAST]) == EXIT_CONFIG
+    assert "truncated" in capsys.readouterr().err
+    assert main(["train-stage2", *FAST]) == EXIT_CONFIG
+
+
+def test_truncated_shard_exits_config(workdir, capsys):
+    assert main(["gen-data", *FAST]) == EXIT_OK
+    shard = workdir / "data/toy/train.shard"
+    shard.write_bytes(shard.read_bytes()[:10000])
+    capsys.readouterr()
+    assert main(["train-stage1", *FAST]) == EXIT_CONFIG
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_gradcheck_writes_report(workdir, capsys):

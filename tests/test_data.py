@@ -9,6 +9,7 @@ import pytest
 
 from longvid.config import CLS_ID, MASK_ID, NUM_SPECIAL, PAD_ID, default_config
 from longvid.data import (
+    TruncatedFileError,
     clip_observation,
     generate,
     mask_tokens,
@@ -225,6 +226,22 @@ def test_shard_rejects_wrong_magic(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError, match="magic"):
         read_shard(bad)
+
+
+def test_truncated_shard_raises_named_error(tmp_path):
+    small = replace(
+        default_config().data, train_samples=2, eval_samples=1, clips=2, frames_per_clip=2, patch_rows=2, patch_cols=2, patch_dim=4
+    )
+    train, _ = generate(small, 0)
+    path = tmp_path / "t.shard"
+    write_shard(path, train, small)
+    whole = path.read_bytes()
+    header = 4 + 4 + 9 * 4
+    cuts = {"magic": 2, "header": 20, "sample id": header + 3, "topics": header + 8 + 5, "array body": len(whole) - 3}
+    for cut in cuts.values():
+        path.write_bytes(whole[:cut])
+        with pytest.raises(TruncatedFileError, match="truncated"):
+            read_shard(path)
 
 
 def test_stack_batch_layout(dataset, cfg):

@@ -23,6 +23,7 @@ from longvid.engine import (
     maxpool2d,
     mean,
     mul,
+    numeric_gradient,
     parameter,
     scale,
     softmax,
@@ -172,6 +173,22 @@ def test_backward_requires_tape():
     loss = asum(x)  # no tape active
     with pytest.raises(EngineError):
         backward(loss)
+
+
+def test_numeric_gradient_perturbs_only_the_given_entries():
+    x = parameter(np.array([1.0, 2.0, 3.0]))
+    evals = []
+
+    def f(x):
+        evals.append(x.data.copy())
+        return asum(mul(x, x))
+
+    g = numeric_gradient(f, [x], 0, entries=[2, 0])
+    assert len(evals) == 4
+    assert all(e[1] == 2.0 for e in evals)
+    assert g[1] == 0.0
+    assert g[0] == pytest.approx(2.0) and g[2] == pytest.approx(6.0)
+    assert np.array_equal(x.data, [1.0, 2.0, 3.0])
 
 
 def test_fanout_accumulates_additively():

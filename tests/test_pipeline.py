@@ -1,15 +1,18 @@
 """Trainer contracts: schedules, freezing, determinism, divergence handling,
 retrieval metrics, and the gradient-check harness."""
 
+import gc
 import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from longvid import pipeline
 from longvid.config import default_config
-from longvid.data import generate
-from longvid.engine import DiffArray, Tape, check_gradients, parameter, record_op
+from longvid.data import TruncatedFileError, generate
+from longvid.engine import DiffArray, Tape, active_tape, check_gradients, parameter, record_op
 from longvid.engine import ops as O
 from longvid.pipeline import (
     STAGE2_FROZEN_PREFIXES,
@@ -140,6 +143,35 @@ def test_divergence_aborts_with_lastgood(tmp_path, tiny_cfg, tiny_data):
     assert all(np.isfinite(v).all() for v in params.values())
 
 
+@pytest.mark.parametrize("stage", [1, 2])
+def test_step_tape_is_freed_without_the_cycle_collector(monkeypatch, tiny_cfg, tiny_data, stage):
+    # A tape that sits in a reference cycle lives until the cyclic collector
+    # runs; with the collector off, the previous step's tape must already be
+    # gone when the next step's forward starts.
+    train, _ = tiny_data
+    name = f"stage{stage}_batch_loss"
+    forward = getattr(pipeline, name)
+    tapes, earlier_alive = [], []
+
+    def watched(*args, **kwargs):
+        earlier_alive.append(sum(ref() is not None for ref in tapes))
+        tapes.append(weakref.ref(active_tape()))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, watched)
+    stage1 = {k: v.data.copy() for k, v in build_stage1_model(tiny_cfg, 0).params().items()}
+    gc.collect()
+    gc.disable()
+    try:
+        if stage == 1:
+            train_stage1(tiny_cfg, train, steps=4)
+        else:
+            train_stage2(tiny_cfg, stage1, train, steps=4)
+    finally:
+        gc.enable()
+    assert earlier_alive == [0, 0, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -154,6 +186,18 @@ def test_checkpoint_round_trip(tmp_path, tiny_cfg):
     assert set(loaded) == set(params)
     for k, v in params.items():
         assert np.array_equal(loaded[k], v.data)
+
+
+def test_truncated_checkpoint_raises_named_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"text.w": np.arange(6.0).reshape(2, 3), "video.b": np.ones(4)}, "stage1", 3)
+    whole = path.read_bytes()
+    key_start = 4 + 18 + len("stage1") + 2  # magic, header, stage, key length
+    cuts = {"magic": 2, "header": 11, "key": key_start + 3, "array body": len(whole) - 5, "last byte": len(whole) - 1}
+    for cut in cuts.values():
+        path.write_bytes(whole[:cut])
+        with pytest.raises(TruncatedFileError, match="truncated"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_missing_raises(tmp_path):
@@ -288,6 +332,21 @@ def test_gradcheck_harness_passes(tiny_cfg):
     report = gradcheck_stage1(tiny_cfg, seeds=(0,), max_random_entries=40)
     assert report.ok, report.render()
     assert report.checked > 200  # all head entries + sampled rest
+
+
+def test_gradcheck_evaluates_the_stage1_loss_twice_per_entry(monkeypatch, tiny_cfg):
+    forward = pipeline.stage1_batch_loss
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "stage1_batch_loss", counted)
+    report = gradcheck_stage1(tiny_cfg, seeds=(0, 1), max_random_entries=10)
+    assert report.ok, report.render()
+    # one taped evaluation per seed for the analytic side, two per entry
+    assert len(calls) == 2 + 2 * report.checked
 
 
 def test_gradcheck_detects_corrupted_backward():
