@@ -107,6 +107,19 @@ def cmd_gen_data(args, cfg: Config) -> int:
     return EXIT_OK
 
 
+# The shard header fields that must agree with the run's data config.
+_SHARD_CONFIG_FIELDS = (
+    "clips",
+    "frames_per_clip",
+    "patch_rows",
+    "patch_cols",
+    "patch_dim",
+    "max_tokens",
+    "vocab_size",
+    "topic_dim",
+)
+
+
 def _load_split(cfg: Config, split: str):
     """The samples of one split ("train" or "eval"): read from its shard
     under data.out_dir if there is one, else generated."""
@@ -114,7 +127,12 @@ def _load_split(cfg: Config, split: str):
 
     shard = Path(cfg.data.out_dir) / f"{split}.shard"
     if shard.exists():
-        samples, _ = read_shard(shard)
+        samples, meta = read_shard(shard)
+        for name in _SHARD_CONFIG_FIELDS:
+            if meta[name] != getattr(cfg.data, name):
+                raise ConfigError(
+                    f"{shard}: written with data.{name}={meta[name]}, but the config has {getattr(cfg.data, name)}"
+                )
         return samples
     train, eval_ = generate(cfg.data, cfg.seed)
     return train if split == "train" else eval_

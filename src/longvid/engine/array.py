@@ -150,8 +150,11 @@ class DiffArray:
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != value shape {self.data.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A copy, never `g` itself: ops such as `add` hand one buffer to
+            # several inputs, and later accumulation writes in place.
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         flags = ", grad" if self.requires_grad else ""

@@ -137,22 +137,36 @@ def scale(a: DiffArray, s: float) -> DiffArray:
 
 
 def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
-    """Matrix product; leading batch dimensions broadcast as in numpy."""
+    """Matrix product; leading batch dimensions broadcast as in numpy.
+
+    Against a 2-d right operand (a weight) the leading dims of `a` fold into
+    the rows of one GEMM, forward and backward, so the weight gradient is a
+    single (d_in, d_out) product rather than a batch of them summed down.
+    """
     a, b = as_diff(a), as_diff(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    if b.ndim == 2:
+        d_in, d_out = b.shape
+        rows = a.data.reshape(-1, d_in)
+        out_data = (rows @ b.data).reshape(a.shape[:-1] + (d_out,))
+
+        def bwd(g):
+            g_rows = g.reshape(-1, d_out)
+            return (g_rows @ b.data.T).reshape(a.data.shape), rows.T @ g_rows
+
+    else:
+        out_data = np.matmul(a.data, b.data)
+
+        def bwd(g):
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+
     _tally_matmul(out_data.shape, a.shape[-1])
-    out = DiffArray(out_data)
-
-    def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
-
-    return record_op(out, (a, b), bwd)
+    return record_op(DiffArray(out_data), (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,10 @@ class MissingCheckpointError(FileNotFoundError):
     """A required checkpoint file does not exist."""
 
 
+class CorruptCheckpointError(ConfigError):
+    """A checkpoint's bytes do not decode as the format requires."""
+
+
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
@@ -257,16 +261,24 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, int]:
         version, stage_len, step, count = struct.unpack("<IHQI", read_exact(fh, 18, path))
         if version != CKPT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        stage = read_exact(fh, stage_len, path).decode()
+        stage = _read_text(fh, stage_len, path, "stage name")
         params: dict[str, np.ndarray] = {}
         for _ in range(count):
             (klen,) = struct.unpack("<H", read_exact(fh, 2, path))
-            key = read_exact(fh, klen, path).decode()
+            key = _read_text(fh, klen, path, "parameter name")
             (ndim,) = struct.unpack("<B", read_exact(fh, 1, path))
             shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, path))
             n = int(np.prod(shape))
             params[key] = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<f8").reshape(shape).copy()
     return params, stage, step
+
+
+def _read_text(fh, n: int, path: Path, what: str) -> str:
+    raw = read_exact(fh, n, path)
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise CorruptCheckpointError(f"{path}: corrupt checkpoint ({what} at offset {fh.tell() - n} is not UTF-8)") from None
 
 
 def digest_params(params: dict, prefixes: tuple[str, ...] = ()) -> str:

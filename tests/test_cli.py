@@ -214,6 +214,26 @@ def test_truncated_shard_exits_config(workdir, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_bit_flipped_checkpoint_exits_config(workdir, capsys):
+    assert main(["train-stage1", *FAST]) == EXIT_OK
+    ckpt = workdir / "runs/toy/stage1.ckpt"
+    raw = bytearray(ckpt.read_bytes())
+    raw[4 + 18 + len("stage1") + 2] = 0xFF  # first byte of the first key
+    ckpt.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["eval-retrieval", *FAST]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "stage1.ckpt" in err and "corrupt" in err and len(err.strip().splitlines()) == 1
+
+
+def test_shard_from_another_config_exits_config(workdir, capsys):
+    assert main(["gen-data", *FAST, "--set", "data.patch_dim=4"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["train-stage1", *FAST]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "train.shard" in err and "data.patch_dim=4" in err and "has 8" in err
+
+
 def test_gradcheck_writes_report(workdir, capsys):
     code = main(["gradcheck", "--seeds", "0", *FAST])
     assert code == EXIT_OK

@@ -13,6 +13,7 @@ from longvid.engine import (
     check_gradients,
     concat,
     constant,
+    count_multiply_adds,
     cross_entropy_logits,
     embedding,
     gelu,
@@ -77,6 +78,33 @@ def test_matmul_batched_gradient(seed):
     c = constant(rng.normal(size=(2, 3, 4, 5)))
     res = check_gradients(lambda a, b: asum(mul(matmul(a, b), c)), [a, b])
     assert res.ok
+
+
+@pytest.mark.parametrize("a_shape", [(3, 4, 2, 2, 5), (3, 4, 5)])
+def test_matmul_against_weight_matches_batched_reference(a_shape):
+    rng = np.random.default_rng(7)
+    a, w = rand(rng, *a_shape), rand(rng, 5, 6)
+    c = rng.normal(size=a_shape[:-1] + (6,))
+    with Tape() as t:
+        with count_multiply_adds() as counter:
+            out = matmul(a, w)
+        t.backward(asum(mul(out, constant(c))))
+    assert counter.multiply_adds == out.size * 5
+    lead = tuple(range(len(a_shape) - 2))
+    ref_out = np.matmul(a.data, w.data)
+    ref_ga = np.matmul(c, w.data.T)
+    ref_gw = np.matmul(np.swapaxes(a.data, -1, -2), c).sum(axis=lead)
+    for got, ref in ((out.data, ref_out), (a.grad, ref_ga), (w.grad, ref_gw)):
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_matmul_against_weight_finite_differences():
+    rng = np.random.default_rng(8)
+    a, w = rand(rng, 3, 4, 2, 2, 5), rand(rng, 5, 6)
+    c = constant(rng.normal(size=(3, 4, 2, 2, 6)))
+    res = check_gradients(lambda a, w: asum(mul(matmul(a, w), c)), [a, w])
+    assert res.ok and res.checked == a.size + w.size
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +225,30 @@ def test_fanout_accumulates_additively():
         y = add(x, x)  # dy/dx = 2
         backward(asum(y))
     assert np.allclose(x.grad, 2.0)
+
+
+def test_gradients_of_one_op_never_alias():
+    rng = np.random.default_rng(0)
+    x, y = rand(rng, 3, 4), rand(rng, 3, 4)
+    with Tape():
+        backward(asum(add(x, y)))
+    assert x.grad is not y.grad
+    y_before = y.grad.copy()
+    x.grad += 5.0
+    assert np.array_equal(y.grad, y_before)
+
+
+def test_fanout_gradient_is_exactly_twice_single_use():
+    rng = np.random.default_rng(1)
+    c = constant(rng.normal(size=(3, 4)))
+    x = rand(rng, 3, 4)
+    with Tape():
+        backward(asum(mul(x, c)))
+    single = x.grad.copy()
+    x.zero_grad()
+    with Tape():
+        backward(asum(mul(add(x, x), c)))
+    assert np.array_equal(x.grad, 2.0 * single)
 
 
 def test_tape_replays_each_op_exactly_once():

@@ -16,6 +16,7 @@ from longvid.engine import DiffArray, Tape, active_tape, check_gradients, parame
 from longvid.engine import ops as O
 from longvid.pipeline import (
     STAGE2_FROZEN_PREFIXES,
+    CorruptCheckpointError,
     DivergenceError,
     MissingCheckpointError,
     TrainState,
@@ -197,6 +198,20 @@ def test_truncated_checkpoint_raises_named_error(tmp_path):
     for cut in cuts.values():
         path.write_bytes(whole[:cut])
         with pytest.raises(TruncatedFileError, match="truncated"):
+            load_checkpoint(path)
+
+
+def test_bit_flipped_checkpoint_names_are_refused(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"text.w": np.arange(6.0).reshape(2, 3)}, "stage1", 3)
+    whole = path.read_bytes()
+    stage_start = 4 + 18  # magic, header
+    key_start = stage_start + len("stage1") + 2  # stage, key length
+    for offset, what in ((stage_start, "stage name"), (key_start, "parameter name")):
+        flipped = bytearray(whole)
+        flipped[offset] = 0xFF
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(CorruptCheckpointError, match=f"m.ckpt.*{what}"):
             load_checkpoint(path)
 
 
