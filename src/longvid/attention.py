@@ -48,14 +48,15 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One stage of the hierarchical schedule."""
+    """One stage of the hierarchical schedule. The field metadata gives the
+    config's lower bounds."""
 
-    layers: int
-    dim: int
-    heads: int
-    temporal_window: int
-    spatial_window: tuple[int, int] | None = None
-    merge: int = 1  # spatial patch-merge factor applied before the stage
+    layers: int = field(metadata={"min": 1})
+    dim: int = field(metadata={"min": 1})
+    heads: int = field(metadata={"min": 1})
+    temporal_window: int = field(metadata={"min": 1})
+    spatial_window: tuple[int, int] | None = field(default=None, metadata={"min": 1})
+    merge: int = field(default=1, metadata={"min": 1})  # spatial patch-merge factor applied before the stage
 
     def __post_init__(self):
         if self.layers < 1 or self.dim < 1 or self.heads < 1:

@@ -1,17 +1,23 @@
 """Run configuration: defaults, file loading, overrides, strict validation.
 
-The config file is a nested ``key: value`` document (YAML subset). Unknown
-keys are rejected with their full path; flag overrides use the same dotted
-paths. Every scalar a run needs lives here: loss temperature and weights,
-sampling sizes, model dims, the window schedule, data dims, optimizer
-settings, seeds and paths.
+The frozen dataclasses are the one schema: each field states its type, its
+default and its lower bound (``min``, or ``positive`` for > 0, in the field
+metadata). The config file is a nested ``key: value`` document (YAML subset).
+A file, ``--set`` overrides and ``build_config`` all end in one walk over the
+dataclasses, which rejects unknown keys with their full path and coerces each
+value by its annotation. Every scalar a run needs lives here: loss temperature
+and weights, sampling sizes, model dims, the window schedule, data dims,
+optimizer settings, seeds and paths.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
+import math
 import re
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import yaml
@@ -29,100 +35,30 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key path."""
 
 
-DEFAULTS: dict = {
-    "seed": 0,
-    "data": {
-        "train_samples": 256,
-        "eval_samples": 100,
-        "clips": 4,
-        "frames_per_clip": 8,
-        "patch_rows": 4,
-        "patch_cols": 4,
-        "patch_dim": 8,
-        "max_tokens": 8,
-        "min_tokens": 6,
-        "content_vocab": 128,
-        "topic_dim": 8,
-        "openings": 16,
-        "opening_jitter": 0.25,
-        "walk_step": 0.6,
-        "patch_noise": 0.05,
-        "token_temperature": 0.15,
-        "out_dir": "data/toy",
-    },
-    "model": {
-        "contrastive_dim": 32,
-        "text": {
-            "dim": 32,
-            "heads": 4,
-            "sentence_layers": 2,
-            "paragraph_layers": 2,
-            "ffn_ratio": 4,
-        },
-        "video": {
-            "ffn_ratio": 4,
-            "clip_pool_steps": 0,
-            "stages": [
-                {"layers": 1, "dim": 32, "heads": 4, "temporal_window": 2, "merge": 2, "spatial_window": "full"},
-                {"layers": 1, "dim": 32, "heads": 4, "temporal_window": 4, "merge": 2, "spatial_window": "full"},
-                {"layers": 1, "dim": 32, "heads": 4, "temporal_window": 8, "merge": 1, "spatial_window": "full"},
-                {"layers": 1, "dim": 32, "heads": 4, "temporal_window": 16, "merge": 1, "spatial_window": "full"},
-                {"layers": 1, "dim": 32, "heads": 4, "temporal_window": 32, "merge": 1, "spatial_window": "full"},
-            ],
-        },
-        "cross": {
-            "dim": 32,
-            "heads": 4,
-            "layers": 2,
-            "ffn_ratio": 4,
-            "pool_window": [1, 1],
-            "pool_stride": [1, 1],
-        },
-    },
-    "losses": {
-        "temperature": 0.05,
-        "mtc_weight": 1.0,
-        "vtm_weight": 10.0,
-        "anchor_count": 2,
-        "candidate_count": 2,
-        "cross_negative_count": 3,
-        "mask_rate": 0.15,
-        "vtm_replace_prob": 0.5,
-    },
-    "train": {
-        "batch_size": 8,
-        "stage1_steps": 2000,
-        "stage2_steps": 1000,
-        "learning_rate": 1e-3,
-        "weight_decay": 0.05,
-        "warmup_epochs": 1.0,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "out_dir": "runs/toy",
-    },
-}
+def _f(default, **bound):
+    """A field with its default and its bound (``min=`` or ``positive=True``)."""
+    return field(default=default, metadata=bound)
 
 
 @dataclass(frozen=True)
 class DataConfig:
-    train_samples: int
-    eval_samples: int
-    clips: int
-    frames_per_clip: int
-    patch_rows: int
-    patch_cols: int
-    patch_dim: int
-    max_tokens: int
-    min_tokens: int
-    content_vocab: int
-    topic_dim: int
-    openings: int
-    opening_jitter: float
-    walk_step: float
-    patch_noise: float
-    token_temperature: float
-    out_dir: str
+    train_samples: int = _f(256, min=1)
+    eval_samples: int = _f(100, min=1)
+    clips: int = _f(4, min=1)
+    frames_per_clip: int = _f(8, min=1)
+    patch_rows: int = _f(4, min=1)
+    patch_cols: int = _f(4, min=1)
+    patch_dim: int = _f(8, min=1)
+    max_tokens: int = _f(8, min=2)
+    min_tokens: int = _f(6, min=2)
+    content_vocab: int = _f(128, min=2)
+    topic_dim: int = _f(8, min=1)
+    openings: int = _f(16, min=1)
+    opening_jitter: float = _f(0.25, min=0.0)
+    walk_step: float = _f(0.6, min=0.0)
+    patch_noise: float = _f(0.05, min=0.0)
+    token_temperature: float = _f(0.15, positive=True)
+    out_dir: str = "data/toy"
 
     @property
     def frames(self) -> int:
@@ -135,88 +71,217 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class TextModelConfig:
-    dim: int
-    heads: int
-    sentence_layers: int
-    paragraph_layers: int
-    ffn_ratio: int
+    dim: int = _f(32, min=1)
+    heads: int = _f(4, min=1)
+    sentence_layers: int = _f(2, min=1)
+    paragraph_layers: int = _f(2, min=1)
+    ffn_ratio: int = _f(4, min=1)
 
 
 @dataclass(frozen=True)
 class VideoModelConfig:
-    schedule: WindowSchedule
-    ffn_ratio: int
-    clip_pool_steps: int
+    ffn_ratio: int = _f(4, min=1)
+    clip_pool_steps: int = _f(0, min=0)
+    stages: tuple[StageSpec, ...] = tuple(
+        StageSpec(1, 32, 4, window, None, merge) for window, merge in ((2, 2), (4, 2), (8, 1), (16, 1), (32, 1))
+    )
+
+    @property
+    def schedule(self) -> WindowSchedule:
+        return WindowSchedule(self.stages)
 
 
 @dataclass(frozen=True)
 class CrossModelConfig:
-    dim: int
-    heads: int
-    layers: int
-    ffn_ratio: int
-    pool_window: tuple[int, int]
-    pool_stride: tuple[int, int]
+    dim: int = _f(32, min=1)
+    heads: int = _f(4, min=1)
+    layers: int = _f(2, min=1)
+    ffn_ratio: int = _f(4, min=1)
+    pool_window: tuple[int, int] = _f((1, 1), min=1)
+    pool_stride: tuple[int, int] = _f((1, 1), min=1)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    contrastive_dim: int
-    text: TextModelConfig
-    video: VideoModelConfig
-    cross: CrossModelConfig
+    contrastive_dim: int = _f(32, min=1)
+    text: TextModelConfig = field(default_factory=TextModelConfig)
+    video: VideoModelConfig = field(default_factory=VideoModelConfig)
+    cross: CrossModelConfig = field(default_factory=CrossModelConfig)
 
 
 @dataclass(frozen=True)
 class LossConfig:
-    temperature: float
-    mtc_weight: float
-    vtm_weight: float
-    anchor_count: int
-    candidate_count: int
-    cross_negative_count: int
-    mask_rate: float
-    vtm_replace_prob: float
+    temperature: float = _f(0.05, positive=True)
+    mtc_weight: float = _f(1.0, min=0.0)
+    vtm_weight: float = _f(10.0, min=0.0)
+    anchor_count: int = _f(2, min=1)
+    candidate_count: int = _f(2, min=1)
+    cross_negative_count: int = _f(3, min=0)
+    mask_rate: float = _f(0.15, positive=True)
+    vtm_replace_prob: float = _f(0.5, min=0.0)
 
 
 @dataclass(frozen=True)
 class TrainSettings:
-    batch_size: int
-    stage1_steps: int
-    stage2_steps: int
-    learning_rate: float
-    weight_decay: float
-    warmup_epochs: float
-    beta1: float
-    beta2: float
-    adam_eps: float
-    out_dir: str
+    batch_size: int = _f(8, min=1)
+    stage1_steps: int = _f(2000, min=1)
+    stage2_steps: int = _f(1000, min=1)
+    learning_rate: float = _f(1e-3, positive=True)
+    weight_decay: float = _f(0.05, min=0.0)
+    warmup_epochs: float = _f(1.0, min=0.0)
+    beta1: float = _f(0.9, min=0.0)
+    beta2: float = _f(0.999, min=0.0)
+    adam_eps: float = _f(1e-8, positive=True)
+    out_dir: str = "runs/toy"
 
 
 @dataclass(frozen=True)
 class Config:
-    seed: int
-    data: DataConfig
-    model: ModelConfig
-    losses: LossConfig
-    train: TrainSettings
-    raw: dict = field(repr=False, compare=False, default_factory=dict)
+    seed: int = _f(0, min=0)
+    data: DataConfig = field(default_factory=DataConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    losses: LossConfig = field(default_factory=LossConfig)
+    train: TrainSettings = field(default_factory=TrainSettings)
 
 
 # ---------------------------------------------------------------------------
-# dict plumbing
+# the walk: document -> typed config
+# ---------------------------------------------------------------------------
+
+_PAIR = tuple[int, int]
+_STAGES = tuple[StageSpec, ...]
+_hints = functools.cache(typing.get_type_hints)
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+# A decimal or scientific number; YAML 1.1 reads 1e-3 and 1.0e9 as strings.
+_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _build(cls, doc, path: str):
+    """An instance of the dataclass ``cls`` from a mapping; keys it leaves
+    out take the field defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config document'}: expected a mapping, got {doc!r}")
+    hints, prefix = _hints(cls), f"{path}." if path else ""
+    for key in doc:
+        if key not in hints:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+    values = {}
+    for f in fields(cls):
+        if f.name in doc:
+            values[f.name] = _coerce(hints[f.name], doc[f.name], prefix + f.name, f.metadata)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}: missing key {f.name}")
+    try:
+        return cls(**values)
+    except ScheduleError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+def _coerce(tp, value, path: str, bound):
+    if is_dataclass(tp):
+        return _build(tp, value, path)
+    if tp == _STAGES:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list, got {value!r}")
+        return tuple(_build(StageSpec, st, f"{path}[{i}]") for i, st in enumerate(value))
+    if tp in (_PAIR, _PAIR | None):
+        if tp != _PAIR and value in ("full", None):
+            return None
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            shape = "[h, w]" if tp == _PAIR else "'full' or [h, w]"
+            raise ConfigError(f"{path}: expected {shape}, got {value!r}")
+        return tuple(_coerce(int, v, path, bound) for v in value)
+    if tp is float and isinstance(value, str) and _NUMBER.fullmatch(value):
+        value = float(value)
+    accepts, kind = _SCALARS[tp]
+    if not isinstance(value, accepts) or (tp is not str and (isinstance(value, bool) or not math.isfinite(value))):
+        raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+    value = tp(value)
+    if bound.get("positive") and value <= 0:
+        raise ConfigError(f"{path}: must be > 0, got {value}")
+    if "min" in bound and value < bound["min"]:
+        raise ConfigError(f"{path}: must be >= {bound['min']}, got {value}")
+    return value
+
+
+def _expect(cond: bool, path: str, reason: str) -> None:
+    if not cond:
+        raise ConfigError(f"{path}: {reason}")
+
+
+def _check_rules(cfg: Config) -> None:
+    """The rules that tie fields together, and the upper bounds of two rates."""
+    data, model, losses = cfg.data, cfg.model, cfg.losses
+    grid = (data.patch_rows, data.patch_cols)
+    _expect(data.min_tokens <= data.max_tokens, "data.min_tokens", "must be <= data.max_tokens")
+    _expect(model.text.dim % model.text.heads == 0, "model.text.dim", f"not divisible by heads {model.text.heads}")
+    schedule = model.video.schedule
+    try:
+        schedule.validate(data.frames, grid)
+    except ScheduleError as e:
+        raise ConfigError(f"model.video.stages: {e}") from None
+    _expect(
+        data.frames_per_clip in schedule.temporal_windows,
+        "model.video.stages",
+        f"no stage has temporal_window == frames_per_clip ({data.frames_per_clip}); clip representations need one",
+    )
+    # The clip stage map must survive clip_pool_steps halvings.
+    ch, cw = schedule.grid_after(clip_stage_index(schedule, data.frames_per_clip), grid)
+    div = 2**model.video.clip_pool_steps
+    _expect(
+        ch % div == 0 and cw % div == 0,
+        "model.video.clip_pool_steps",
+        f"{model.video.clip_pool_steps} 2x2 mean-pools need the clip-stage grid {(ch, cw)} divisible by {div}",
+    )
+    cross = model.cross
+    _expect(cross.dim % cross.heads == 0, "model.cross.dim", f"not divisible by heads {cross.heads}")
+    fh, fw = schedule.grid_after(len(schedule.stages) - 1, grid)
+    _expect(
+        cross.pool_window[0] <= fh and cross.pool_window[1] <= fw,
+        "model.cross.pool_window",
+        f"window {cross.pool_window} exceeds the final feature grid {(fh, fw)}",
+    )
+    _expect(losses.mask_rate < 1.0, "losses.mask_rate", "must be in (0, 1)")
+    _expect(losses.vtm_replace_prob <= 1.0, "losses.vtm_replace_prob", "must be in [0, 1]")
+    _expect(losses.anchor_count <= data.clips, "losses.anchor_count", f"must be <= data.clips ({data.clips})")
+    _expect(losses.candidate_count <= data.clips, "losses.candidate_count", f"must be <= data.clips ({data.clips})")
+
+
+def build_config(doc: dict) -> Config:
+    """Validate a config document and build the typed config; keys the
+    document leaves out take their defaults."""
+    cfg = _build(Config, doc, "")
+    _check_rules(cfg)
+    return cfg
+
+
+# ---------------------------------------------------------------------------
+# documents: defaults, files, overrides, dumps
 # ---------------------------------------------------------------------------
 
 
-def _reject_unknown(given: dict, allowed: dict, path: str = "") -> None:
-    for key, value in given.items():
-        here = f"{path}.{key}" if path else str(key)
-        if key not in allowed:
-            raise ConfigError(f"{here}: unknown key")
-        if isinstance(allowed[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here}: expected a mapping")
-            _reject_unknown(value, allowed[key], here)
+def _to_doc(value):
+    """The document form of a config value. Stages list ``merge`` before
+    ``spatial_window``, and a full spatial window as "full"."""
+    if isinstance(value, StageSpec):
+        doc = {k: getattr(value, k) for k in ("layers", "dim", "heads", "temporal_window", "merge")}
+        doc["spatial_window"] = "full" if value.spatial_window is None else list(value.spatial_window)
+        return doc
+    if is_dataclass(value):
+        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_doc(v) for v in value]
+    return value
+
+
+def _parse_yaml(text: str, where: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigError(f"{where}: malformed YAML{at}: {getattr(e, 'problem', None) or type(e).__name__}") from None
 
 
 def _deep_merge(base: dict, overlay: dict) -> dict:
@@ -229,32 +294,14 @@ def _deep_merge(base: dict, overlay: dict) -> dict:
     return out
 
 
-def _stage_template() -> dict:
-    return DEFAULTS["model"]["video"]["stages"][0]
-
-
 def merge_config_dict(overlay: dict | None) -> dict:
-    """Defaults deep-merged with an overlay document; unknown keys rejected."""
+    """The default document deep-merged with an overlay document. Lists,
+    such as the stages, are replaced whole; ``build_config`` checks the
+    result."""
     overlay = overlay or {}
     if not isinstance(overlay, dict):
         raise ConfigError("config document must be a mapping")
-    probe = copy.deepcopy(DEFAULTS)
-    # Stage lists are replaced wholesale, so validate their keys per entry.
-    stages = overlay.get("model", {}).get("video", {}).get("stages") if isinstance(overlay.get("model", {}), dict) else None
-    if stages is not None:
-        if not isinstance(stages, list) or not stages:
-            raise ConfigError("model.video.stages: expected a non-empty list")
-        for i, st in enumerate(stages):
-            if not isinstance(st, dict):
-                raise ConfigError(f"model.video.stages[{i}]: expected a mapping")
-            _reject_unknown(st, _stage_template(), f"model.video.stages[{i}]")
-        probe["model"]["video"]["stages"] = stages
-        overlay = copy.deepcopy(overlay)
-        overlay["model"]["video"] = dict(overlay["model"]["video"])
-        del overlay["model"]["video"]["stages"]
-    _reject_unknown(overlay, probe, "")
-    merged = _deep_merge(probe, overlay)
-    return merged
+    return _deep_merge(_to_doc(Config()), overlay)
 
 
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:
@@ -272,186 +319,8 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
             node = node[k]
         if not isinstance(node, dict) or keys[-1] not in node:
             raise ConfigError(f"{path}: unknown key")
-        node[keys[-1]] = yaml.safe_load(raw)
+        node[keys[-1]] = _parse_yaml(raw, f"override '{item}'")
     return doc
-
-
-def _expect(cond: bool, path: str, reason: str) -> None:
-    if not cond:
-        raise ConfigError(f"{path}: {reason}")
-
-
-def _coerce_int(doc, path, minimum=None) -> int:
-    if isinstance(doc, bool) or not isinstance(doc, int):
-        raise ConfigError(f"{path}: expected an integer, got {doc!r}")
-    if minimum is not None and doc < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {doc}")
-    return doc
-
-
-# A decimal or scientific number; YAML 1.1 reads 1e-3 and 1.0e9 as strings.
-_NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
-
-
-def _coerce_float(doc, path, minimum=None, positive=False) -> float:
-    if isinstance(doc, str) and _NUMBER.fullmatch(doc):
-        doc = float(doc)
-    if isinstance(doc, bool) or not isinstance(doc, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {doc!r}")
-    v = float(doc)
-    if positive and v <= 0:
-        raise ConfigError(f"{path}: must be > 0, got {v}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {v}")
-    return v
-
-
-def _parse_spatial_window(value, path) -> tuple[int, int] | None:
-    if value in ("full", None):
-        return None
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (_coerce_int(value[0], path, 1), _coerce_int(value[1], path, 1))
-    raise ConfigError(f"{path}: expected 'full' or [h, w], got {value!r}")
-
-
-def build_config(doc: dict) -> Config:
-    """Validate a merged document and build the typed config."""
-    d = doc["data"]
-    data = DataConfig(
-        train_samples=_coerce_int(d["train_samples"], "data.train_samples", 1),
-        eval_samples=_coerce_int(d["eval_samples"], "data.eval_samples", 1),
-        clips=_coerce_int(d["clips"], "data.clips", 1),
-        frames_per_clip=_coerce_int(d["frames_per_clip"], "data.frames_per_clip", 1),
-        patch_rows=_coerce_int(d["patch_rows"], "data.patch_rows", 1),
-        patch_cols=_coerce_int(d["patch_cols"], "data.patch_cols", 1),
-        patch_dim=_coerce_int(d["patch_dim"], "data.patch_dim", 1),
-        max_tokens=_coerce_int(d["max_tokens"], "data.max_tokens", 2),
-        min_tokens=_coerce_int(d["min_tokens"], "data.min_tokens", 2),
-        content_vocab=_coerce_int(d["content_vocab"], "data.content_vocab", 2),
-        topic_dim=_coerce_int(d["topic_dim"], "data.topic_dim", 1),
-        openings=_coerce_int(d["openings"], "data.openings", 1),
-        opening_jitter=_coerce_float(d["opening_jitter"], "data.opening_jitter", minimum=0.0),
-        walk_step=_coerce_float(d["walk_step"], "data.walk_step", minimum=0.0),
-        patch_noise=_coerce_float(d["patch_noise"], "data.patch_noise", minimum=0.0),
-        token_temperature=_coerce_float(d["token_temperature"], "data.token_temperature", positive=True),
-        out_dir=str(d["out_dir"]),
-    )
-    _expect(data.min_tokens <= data.max_tokens, "data.min_tokens", "must be <= data.max_tokens")
-
-    t = doc["model"]["text"]
-    text = TextModelConfig(
-        dim=_coerce_int(t["dim"], "model.text.dim", 1),
-        heads=_coerce_int(t["heads"], "model.text.heads", 1),
-        sentence_layers=_coerce_int(t["sentence_layers"], "model.text.sentence_layers", 1),
-        paragraph_layers=_coerce_int(t["paragraph_layers"], "model.text.paragraph_layers", 1),
-        ffn_ratio=_coerce_int(t["ffn_ratio"], "model.text.ffn_ratio", 1),
-    )
-    _expect(text.dim % text.heads == 0, "model.text.dim", f"not divisible by heads {text.heads}")
-
-    v = doc["model"]["video"]
-    stages = []
-    for i, st in enumerate(v["stages"]):
-        here = f"model.video.stages[{i}]"
-        try:
-            stages.append(
-                StageSpec(
-                    layers=_coerce_int(st["layers"], f"{here}.layers", 1),
-                    dim=_coerce_int(st["dim"], f"{here}.dim", 1),
-                    heads=_coerce_int(st["heads"], f"{here}.heads", 1),
-                    temporal_window=_coerce_int(st["temporal_window"], f"{here}.temporal_window", 1),
-                    spatial_window=_parse_spatial_window(st.get("spatial_window", "full"), f"{here}.spatial_window"),
-                    merge=_coerce_int(st.get("merge", 1), f"{here}.merge", 1),
-                )
-            )
-        except KeyError as e:
-            raise ConfigError(f"{here}: missing key {e.args[0]}") from None
-        except ScheduleError as e:
-            raise ConfigError(f"{here}: {e}") from None
-    schedule = WindowSchedule(tuple(stages))
-    try:
-        schedule.validate(data.frames, (data.patch_rows, data.patch_cols))
-    except ScheduleError as e:
-        raise ConfigError(f"model.video.stages: {e}") from None
-    _expect(
-        data.frames_per_clip in schedule.temporal_windows,
-        "model.video.stages",
-        f"no stage has temporal_window == frames_per_clip ({data.frames_per_clip}); clip representations need one",
-    )
-    video = VideoModelConfig(
-        schedule=schedule,
-        ffn_ratio=_coerce_int(v["ffn_ratio"], "model.video.ffn_ratio", 1),
-        clip_pool_steps=_coerce_int(v["clip_pool_steps"], "model.video.clip_pool_steps", 0),
-    )
-    # The clip stage map must survive clip_pool_steps halvings.
-    clip_stage = clip_stage_index(schedule, data.frames_per_clip)
-    ch, cw = schedule.grid_after(clip_stage, (data.patch_rows, data.patch_cols))
-    div = 2**video.clip_pool_steps
-    _expect(
-        ch % div == 0 and cw % div == 0,
-        "model.video.clip_pool_steps",
-        f"{video.clip_pool_steps} 2x2 mean-pools need the clip-stage grid {(ch, cw)} divisible by {div}",
-    )
-
-    c = doc["model"]["cross"]
-    pw = c["pool_window"]
-    ps = c["pool_stride"]
-    _expect(isinstance(pw, (list, tuple)) and len(pw) == 2, "model.cross.pool_window", "expected [h, w]")
-    _expect(isinstance(ps, (list, tuple)) and len(ps) == 2, "model.cross.pool_stride", "expected [h, w]")
-    cross = CrossModelConfig(
-        dim=_coerce_int(c["dim"], "model.cross.dim", 1),
-        heads=_coerce_int(c["heads"], "model.cross.heads", 1),
-        layers=_coerce_int(c["layers"], "model.cross.layers", 1),
-        ffn_ratio=_coerce_int(c["ffn_ratio"], "model.cross.ffn_ratio", 1),
-        pool_window=(_coerce_int(pw[0], "model.cross.pool_window", 1), _coerce_int(pw[1], "model.cross.pool_window", 1)),
-        pool_stride=(_coerce_int(ps[0], "model.cross.pool_stride", 1), _coerce_int(ps[1], "model.cross.pool_stride", 1)),
-    )
-    _expect(cross.dim % cross.heads == 0, "model.cross.dim", f"not divisible by heads {cross.heads}")
-    fh, fw = schedule.grid_after(len(stages) - 1, (data.patch_rows, data.patch_cols))
-    _expect(
-        cross.pool_window[0] <= fh and cross.pool_window[1] <= fw,
-        "model.cross.pool_window",
-        f"window {cross.pool_window} exceeds the final feature grid {(fh, fw)}",
-    )
-
-    model = ModelConfig(
-        contrastive_dim=_coerce_int(doc["model"]["contrastive_dim"], "model.contrastive_dim", 1),
-        text=text,
-        video=video,
-        cross=cross,
-    )
-
-    lo = doc["losses"]
-    losses = LossConfig(
-        temperature=_coerce_float(lo["temperature"], "losses.temperature", positive=True),
-        mtc_weight=_coerce_float(lo["mtc_weight"], "losses.mtc_weight", minimum=0.0),
-        vtm_weight=_coerce_float(lo["vtm_weight"], "losses.vtm_weight", minimum=0.0),
-        anchor_count=_coerce_int(lo["anchor_count"], "losses.anchor_count", 1),
-        candidate_count=_coerce_int(lo["candidate_count"], "losses.candidate_count", 1),
-        cross_negative_count=_coerce_int(lo["cross_negative_count"], "losses.cross_negative_count", 0),
-        mask_rate=_coerce_float(lo["mask_rate"], "losses.mask_rate", positive=True),
-        vtm_replace_prob=_coerce_float(lo["vtm_replace_prob"], "losses.vtm_replace_prob", minimum=0.0),
-    )
-    _expect(losses.mask_rate < 1.0, "losses.mask_rate", "must be in (0, 1)")
-    _expect(losses.vtm_replace_prob <= 1.0, "losses.vtm_replace_prob", "must be in [0, 1]")
-    _expect(losses.anchor_count <= data.clips, "losses.anchor_count", f"must be <= data.clips ({data.clips})")
-    _expect(losses.candidate_count <= data.clips, "losses.candidate_count", f"must be <= data.clips ({data.clips})")
-
-    tr = doc["train"]
-    train = TrainSettings(
-        batch_size=_coerce_int(tr["batch_size"], "train.batch_size", 1),
-        stage1_steps=_coerce_int(tr["stage1_steps"], "train.stage1_steps", 1),
-        stage2_steps=_coerce_int(tr["stage2_steps"], "train.stage2_steps", 1),
-        learning_rate=_coerce_float(tr["learning_rate"], "train.learning_rate", positive=True),
-        weight_decay=_coerce_float(tr["weight_decay"], "train.weight_decay", minimum=0.0),
-        warmup_epochs=_coerce_float(tr["warmup_epochs"], "train.warmup_epochs", minimum=0.0),
-        beta1=_coerce_float(tr["beta1"], "train.beta1", minimum=0.0),
-        beta2=_coerce_float(tr["beta2"], "train.beta2", minimum=0.0),
-        adam_eps=_coerce_float(tr["adam_eps"], "train.adam_eps", positive=True),
-        out_dir=str(tr["out_dir"]),
-    )
-
-    seed = _coerce_int(doc["seed"], "seed", 0)
-    return Config(seed=seed, data=data, model=model, losses=losses, train=train, raw=copy.deepcopy(doc))
 
 
 def clip_stage_index(schedule: WindowSchedule, frames_per_clip: int) -> int:
@@ -466,8 +335,13 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
     """Config from defaults <- file <- dotted overrides <- explicit seed."""
     overlay: dict = {}
     if path is not None:
-        text = Path(path).read_text()
-        loaded = yaml.safe_load(text)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from None
+        except OSError as e:
+            raise ConfigError(f"{path}: cannot read ({e.strerror})") from None
+        loaded = _parse_yaml(text, str(path))
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -482,12 +356,12 @@ def load_config(path: str | Path | None = None, overrides: list[str] | None = No
 
 
 def default_config() -> Config:
-    return build_config(merge_config_dict({}))
+    return build_config({})
 
 
 def dump_config(cfg: Config) -> str:
     """The effective config as the nested key: value text format."""
-    return yaml.safe_dump(cfg.raw, sort_keys=False, default_flow_style=False)
+    return yaml.safe_dump(_to_doc(cfg), sort_keys=False, default_flow_style=False)
 
 
 def paper_shaped_overlay() -> dict:

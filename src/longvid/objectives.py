@@ -41,24 +41,6 @@ class MtcSampling:
             raise EngineError("cross-negative count must be >= 0")
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Temperature and stage mixing weights."""
-
-    temperature: float
-    mtc_weight: float = 1.0
-    vtm_weight: float = 10.0
-    vtm_replace_prob: float = 0.5
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise EngineError("temperature must be > 0")
-        if self.mtc_weight < 0 or self.vtm_weight < 0:
-            raise EngineError("loss weights must be >= 0")
-        if not 0.0 <= self.vtm_replace_prob <= 1.0:
-            raise EngineError("replace probability must be in [0, 1]")
-
-
 def similarity(f1: DiffArray, f2: DiffArray, temperature: float) -> DiffArray:
     """Temperature-scaled dot product of two unit-norm vectors."""
     if temperature <= 0:

@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import struct
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -544,7 +543,7 @@ def gradcheck_config(base: Config) -> Config:
     everything else, so exhaustive head checks stay fast."""
     doc = merge_config_dict({})
     doc["seed"] = base.seed
-    doc["losses"] = dict(base.raw["losses"])
+    doc["losses"] = asdict(base.losses)
     doc["losses"]["anchor_count"] = min(base.losses.anchor_count, 2)
     doc["losses"]["candidate_count"] = min(base.losses.candidate_count, 2)
     doc["data"].update(
@@ -575,7 +574,7 @@ def gradcheck_config(base: Config) -> Config:
         },
         "cross": {"dim": 8, "heads": 2, "layers": 1, "ffn_ratio": 2, "pool_window": [1, 1], "pool_stride": [1, 1]},
     }
-    doc["train"] = dict(base.raw["train"])
+    doc["train"] = asdict(base.train)
     doc["train"]["batch_size"] = 2
     return build_config(doc)
 

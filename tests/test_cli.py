@@ -127,7 +127,7 @@ def test_dumped_scientific_config_loads_back_equal(workdir, capsys):
     assert load_config(dumped).train.adam_eps == 1e-9
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "1e-3x", "abc"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-3x", "abc", ".nan", ".inf", "-.inf"])
 def test_non_numbers_still_rejected(workdir, capsys, value):
     code = main(["train-stage1", "--set", f"train.learning_rate={value}", "--dry-run"])
     assert code == EXIT_CONFIG
@@ -138,6 +138,40 @@ def test_integer_fields_refuse_scientific_notation(workdir, capsys):
     code = main(["train-stage1", "--set", "train.batch_size=1e1", "--dry-run"])
     assert code == EXIT_CONFIG
     assert "train.batch_size: expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ("data=5", "data"),
+        ("model.video=3", "model.video"),
+        ("model.video.stages=5", "model.video.stages"),
+        ("model.video.stages=[]", "model.video.stages"),
+        ("model.video.stages=[5]", "model.video.stages[0]"),
+        (
+            "model.video.stages=[{layers: 1, dim: 32, heads: 4, temporal_window: 32, merg: 2}]",
+            "model.video.stages[0].merg",
+        ),
+        ("data.out_dir=", "data.out_dir"),
+    ],
+)
+def test_overrides_get_the_file_checks(workdir, capsys, override, path):
+    code = main(["train-stage1", "--set", override, "--dry-run"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", [b"losses: [1, 2\n", b"seed: \xff\n", None], ids=["malformed", "not-utf8", "directory"])
+def test_unreadable_config_file_exits_config(workdir, capsys, content):
+    cfg = workdir / "bad.yaml"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    assert main(["train-stage1", "--config", str(cfg), "--dry-run"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ") and len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

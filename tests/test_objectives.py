@@ -8,7 +8,6 @@ import pytest
 
 from longvid.engine import EngineError, check_gradients, constant, l2_normalize, parameter
 from longvid.objectives import (
-    LossWeights,
     MtcSampling,
     brute_force_pair_loss,
     brute_force_positive,
@@ -58,13 +57,6 @@ def test_similarity_rejects_nonpositive_temperature():
     v = constant(np.ones(2))
     with pytest.raises(EngineError):
         similarity(v, v, 0.0)
-
-
-def test_loss_weights_validation():
-    with pytest.raises(EngineError):
-        LossWeights(temperature=-1.0)
-    with pytest.raises(EngineError):
-        LossWeights(temperature=0.05, vtm_replace_prob=1.5)
 
 
 # ---------------------------------------------------------------------------
