@@ -33,7 +33,6 @@ class WindowSpec:
 
     temporal: int
     spatial: tuple[int, int] | None = None
-    layer_index: int = 0
 
     def resolve_spatial(self, grid_h: int, grid_w: int) -> tuple[int, int]:
         return (grid_h, grid_w) if self.spatial is None else self.spatial

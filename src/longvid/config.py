@@ -205,6 +205,15 @@ def _coerce(tp, value, path: str, bound):
     return value
 
 
+def check_field(path: str, value):
+    """``value`` coerced by the type of the field at the dotted ``path`` and
+    checked against its bound, as the walk checks a document."""
+    *sections, name = path.split(".")
+    cls = functools.reduce(lambda c, key: _hints(c)[key], sections, Config)
+    (f,) = (f for f in fields(cls) if f.name == name)
+    return _coerce(_hints(cls)[name], value, path, f.metadata)
+
+
 def _expect(cond: bool, path: str, reason: str) -> None:
     if not cond:
         raise ConfigError(f"{path}: {reason}")

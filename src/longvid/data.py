@@ -251,6 +251,8 @@ def write_shard(path: str | Path, samples: list[PairedSample], cfg: DataConfig) 
 
 def read_shard(path: str | Path) -> tuple[list[PairedSample], dict]:
     path = Path(path)
+    if path.exists() and not path.is_file():
+        raise ConfigError(f"{path}: not a data shard (not a regular file)")
     with open(path, "rb") as fh:
         magic, version, M, N, H, W, p, L, vocab, count, dz = _HEADER.unpack(read_exact(fh, _HEADER.size, path))
         if magic != SHARD_MAGIC:
@@ -282,6 +284,21 @@ def read_shard(path: str | Path) -> tuple[list[PairedSample], dict]:
         if trailing:
             warnings.warn(f"{path}: trailing bytes after {count} samples", stacklevel=2)
     return samples, meta
+
+
+def load_split(cfg: DataConfig, seed: int, split: str) -> list[PairedSample]:
+    """The samples of one split ("train" or "eval"): read from its shard
+    under ``cfg.out_dir`` if there is one, else generated. A shard whose
+    header disagrees with ``cfg`` in any field but its count is refused."""
+    shard = Path(cfg.out_dir) / f"{split}.shard"
+    if not shard.exists():
+        train, eval_ = generate(cfg, seed)
+        return train if split == "train" else eval_
+    samples, meta = read_shard(shard)
+    for name, value in meta.items():
+        if name != "count" and value != getattr(cfg, name):
+            raise ConfigError(f"{shard}: written with data.{name}={value}, but the config has {getattr(cfg, name)}")
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,10 @@ class CorruptCheckpointError(ConfigError):
     """A checkpoint's bytes do not decode as the format requires."""
 
 
+class NotACheckpointError(ConfigError):
+    """A checkpoint path names a directory or another non-regular file."""
+
+
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
@@ -254,6 +258,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, int]:
     path = Path(path)
     if not path.exists():
         raise MissingCheckpointError(f"checkpoint not found: {path}")
+    if not path.is_file():
+        raise NotACheckpointError(f"{path}: not a checkpoint file (not a regular file)")
     with open(path, "rb") as fh:
         if read_exact(fh, 4, path) != CKPT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file")

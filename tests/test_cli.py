@@ -175,6 +175,52 @@ def test_unreadable_config_file_exits_config(workdir, capsys, content):
 
 
 # ---------------------------------------------------------------------------
+# --steps and --out spell dotted config paths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+@pytest.mark.parametrize("steps", ["0", "-3"])
+@pytest.mark.parametrize("command", ["train-stage1", "train-stage2"])
+def test_step_flag_gets_the_schema_bound(workdir, capsys, command, steps, dry_run):
+    key = f"{command[-6:].replace('-', '')}_steps"  # stage1_steps / stage2_steps
+    before = set(workdir.rglob("*"))
+    # the flag beats FAST's --set of the same path, and is checked like it
+    assert main([command, *FAST, "--steps", steps, *dry_run]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: train.{key}: must be >= 1, got {steps}\n"
+    assert set(workdir.rglob("*")) == before
+
+    assert main([command, "--dump-config", "--steps", "5", "--out", "123"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"  {key}: 5\n" in out and "  out_dir: '123'\n" in out
+    assert main([command, "--out", "123", "--dry-run"]) == EXIT_OK
+    assert "123/stage1.ckpt" in capsys.readouterr().out
+
+
+def test_out_flag_reaches_the_config_verbatim(workdir, capsys):
+    assert main(["gen-data", "--out", "a: b", "--dump-config"]) == EXIT_OK
+    assert yaml.safe_load(capsys.readouterr().out)["data"]["out_dir"] == "a: b"
+
+
+def test_empty_out_means_the_working_directory_in_both_spellings(workdir, capsys):
+    plans = []
+    for spelling in (["--out", ""], ["--set", 'train.out_dir=""']):
+        assert main(["train-stage1", *spelling, "--dry-run"]) == EXIT_OK
+        plans.append(capsys.readouterr().out)
+    assert plans[0] == plans[1] and "write stage1_metrics.csv and stage1.ckpt" in plans[0]
+    assert main(["gen-data", *FAST, "--out", ""]) == EXIT_OK
+    assert (workdir / "train.shard").exists() and (workdir / "eval.shard").exists()
+
+
+def test_step_flag_and_set_write_the_same_bytes(workdir):
+    sizes = FAST[: FAST.index("train.stage1_steps=3") - 1]  # FAST without its step budgets
+    assert main(["train-stage1", *FAST, "--out", "by_set"]) == EXIT_OK
+    assert main(["train-stage1", *sizes, "--steps", "3", "--out", "by_flag"]) == EXIT_OK
+    for name in ("stage1_metrics.csv", "stage1.ckpt"):
+        assert (workdir / "by_set" / name).read_bytes() == (workdir / "by_flag" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
 # dry runs touch nothing
 # ---------------------------------------------------------------------------
 
@@ -289,6 +335,36 @@ def test_analyze_cost_rejects_bad_schedule(workdir, capsys):
     code = main(["analyze-cost", "--schedule", "3,32", "--frames", "32"])
     assert code == EXIT_CONFIG
     assert "schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+@pytest.mark.parametrize("flag", [["--frames", "0"], ["--schedule", "0"]], ids=["frames", "schedule"])
+def test_analyze_cost_refuses_zero_before_the_plan(workdir, capsys, flag, dry_run):
+    assert main(["analyze-cost", *flag, *dry_run]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --schedule/--frames: ") and len(err.strip().splitlines()) == 1
+    assert list(workdir.rglob("*")) == []
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+def test_gradcheck_seeds_get_the_seed_bound(workdir, capsys, dry_run):
+    assert main(["gradcheck", "--seeds", "0,-1", *FAST, *dry_run]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --seeds: seed: must be >= 0, got -1\n"
+    assert list(workdir.rglob("*")) == []
+
+
+@pytest.mark.parametrize("command", ["eval-retrieval", "train-stage2"])
+def test_checkpoint_that_is_a_directory_exits_config(workdir, capsys, command):
+    (workdir / "ckpt").mkdir()
+    assert main([command, *FAST, "--checkpoint", str(workdir / "ckpt")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: {workdir / 'ckpt'}: not a checkpoint file (not a regular file)\n"
+
+
+def test_shard_that_is_a_directory_exits_config(workdir, capsys):
+    (workdir / "data/toy/train.shard").mkdir(parents=True)
+    assert main(["train-stage1", *FAST]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: data/toy/train.shard: not a data shard (not a regular file)\n"
 
 
 # ---------------------------------------------------------------------------
