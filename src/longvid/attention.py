@@ -137,34 +137,6 @@ def window_merge(blocks: DiffArray, spec: WindowSpec, t: int, h: int, w: int) ->
     return O.reshape(x, (B, t, h, w, blocks.shape[-1]))
 
 
-def partition_windows(tokens: DiffArray, spec: WindowSpec) -> list[DiffArray]:
-    """Split an unbatched (T, H, W, C) grid into its window blocks.
-
-    Returns T/w blocks (times the spatial tiling when the spatial window is
-    smaller than the grid), each of shape (w, sh, sw, C); concatenating the
-    blocks through window_merge reconstructs the input exactly.
-    """
-    if tokens.ndim != 4:
-        raise ShapeError(f"expected a (T, H, W, C) grid, got {tokens.shape}")
-    T, H, W, C = tokens.shape
-    batched = O.reshape(tokens, (1, T, H, W, C))
-    windows = window_partition(batched, spec)
-    n = windows.shape[1]
-    sh, sw = spec.resolve_spatial(H, W)
-    flat = O.reshape(windows, (n, spec.temporal * sh * sw, C))
-    pieces = O.split(flat, [1] * n, axis=0)
-    return [O.reshape(p, (spec.temporal, sh, sw, C)) for p in pieces]
-
-
-def merge_windows(blocks: list[DiffArray], spec: WindowSpec, t: int, h: int, w: int) -> DiffArray:
-    """Reassemble partition_windows output into the original (T, H, W, C) grid."""
-    sh, sw = spec.resolve_spatial(h, w)
-    stacked = O.concat([O.reshape(b, (1, spec.temporal * sh * sw, b.shape[-1])) for b in blocks], axis=0)
-    n = len(blocks)
-    batched = O.reshape(stacked, (1, n, spec.temporal * sh * sw, blocks[0].shape[-1]))
-    return O.reshape(window_merge(batched, spec, t, h, w), (t, h, w, blocks[0].shape[-1]))
-
-
 # ---------------------------------------------------------------------------
 # attention parameters
 # ---------------------------------------------------------------------------
@@ -245,14 +217,26 @@ def _attend(q: DiffArray, k: DiffArray, v: DiffArray, bias: DiffArray | None, ad
     return O.matmul(probs, v)
 
 
+def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | None, add_mask: np.ndarray | None) -> DiffArray:
+    """The one attention core: project q, k and v from x (..., n, dim), attend
+    per head, join the heads and project back."""
+    q, k, v = (_heads_split(O.add(O.matmul(x, p["w" + name]), p["b" + name]), heads) for name in "qkv")
+    ctx = _heads_join(_attend(q, k, v, bias, add_mask))
+    return O.add(O.matmul(ctx, p["wo"]), p["bo"])
+
+
+def _window_bias(p: dict, spec: WindowSpec, sh: int, sw: int) -> DiffArray | None:
+    """The (heads, t, t) relative-position bias of one window, if p has a table."""
+    if "rel_bias" not in p:
+        return None
+    idx = relative_index_map((spec.temporal, sh, sw))
+    return O.transpose(O.embedding(p["rel_bias"], idx), (2, 0, 1))
+
+
 def multi_head_attention(x: DiffArray, p: dict, heads: int, add_mask: np.ndarray | None = None) -> DiffArray:
     """Full self-attention over (B, n, dim) with an optional additive mask
     broadcastable to (B, heads, n, n)."""
-    q = _heads_split(O.add(O.matmul(x, p["wq"]), p["bq"]), heads)
-    k = _heads_split(O.add(O.matmul(x, p["wk"]), p["bk"]), heads)
-    v = _heads_split(O.add(O.matmul(x, p["wv"]), p["bv"]), heads)
-    ctx = _heads_join(_attend(q, k, v, None, add_mask))
-    return O.add(O.matmul(ctx, p["wo"]), p["bo"])
+    return _mha(x, p, heads, None, add_mask)
 
 
 def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> AttentionOutput:
@@ -270,17 +254,7 @@ def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> At
     sh, sw = spec.resolve_spatial(H, W)
 
     xw = window_partition(tokens, spec)  # (B, nW, t, C)
-    q = _heads_split(O.add(O.matmul(xw, p["wq"]), p["bq"]), heads)
-    k = _heads_split(O.add(O.matmul(xw, p["wk"]), p["bk"]), heads)
-    v = _heads_split(O.add(O.matmul(xw, p["wv"]), p["bv"]), heads)
-
-    bias = None
-    if "rel_bias" in p:
-        idx = relative_index_map((spec.temporal, sh, sw))
-        bias = O.transpose(O.embedding(p["rel_bias"], idx), (2, 0, 1))  # (heads, t, t)
-
-    ctx = _heads_join(_attend(q, k, v, bias, None))  # (B, nW, t, C)
-    per_window = O.add(O.matmul(ctx, p["wo"]), p["bo"])
+    per_window = _mha(xw, p, heads, _window_bias(p, spec, sh, sw), None)
     a = window_merge(per_window, spec, T, H, W)
     if squeeze:
         a = O.reshape(a, (T, H, W, C))
@@ -290,7 +264,7 @@ def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> At
 def masked_full_attention_reference(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> DiffArray:
     """Oracle path: full attention over the flattened grid with an additive
     cross-window mask (and the relative bias placed block-locally). Must
-    match windowed_mha elementwise; kept as a separate code path on purpose.
+    match windowed_mha elementwise; only the projections are shared with it.
     """
     squeeze = tokens.ndim == 4
     if squeeze:
@@ -311,20 +285,13 @@ def masked_full_attention_reference(tokens: DiffArray, spec: WindowSpec, p: dict
         mask[b * t : (b + 1) * t, b * t : (b + 1) * t] = 0.0
 
     bias_full = None
-    if "rel_bias" in p:
-        idx = relative_index_map((spec.temporal, sh, sw))
-        block = O.transpose(O.embedding(p["rel_bias"], idx), (2, 0, 1))  # (heads, t, t)
-        rows = []
+    block = _window_bias(p, spec, sh, sw)
+    if block is not None:
         zero = O.scale(block, 0.0)
-        for i in range(nwin):
-            rows.append(O.concat([block if j == i else zero for j in range(nwin)], axis=2))
+        rows = [O.concat([block if j == i else zero for j in range(nwin)], axis=2) for i in range(nwin)]
         bias_full = O.concat(rows, axis=1)  # (heads, n, n)
 
-    q = _heads_split(O.add(O.matmul(flat, p["wq"]), p["bq"]), heads)
-    k = _heads_split(O.add(O.matmul(flat, p["wk"]), p["bk"]), heads)
-    v = _heads_split(O.add(O.matmul(flat, p["wv"]), p["bv"]), heads)
-    ctx = _heads_join(_attend(q, k, v, bias_full, mask))
-    out = O.add(O.matmul(ctx, p["wo"]), p["bo"])
+    out = _mha(flat, p, heads, bias_full, mask)
     merged = window_merge(O.reshape(out, (B, nwin, t, C)), spec, T, H, W)
     if squeeze:
         merged = O.reshape(merged, (T, H, W, C))

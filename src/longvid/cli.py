@@ -24,6 +24,7 @@ from .config import Config, ConfigError, check_field, dump_config, load_config
 from .costmodel import fixed_window_schedule, render_table, report_csv_rows, schedule_cost
 from .data import generate, load_split, write_shard
 from .pipeline import (
+    STAGE2_FROZEN_PREFIXES,
     DivergenceError,
     build_stage1_model,
     eval_retrieval,
@@ -102,8 +103,21 @@ def _load(args) -> Config:
     return load_config(args.config, overrides=args.overrides + aliases, seed=seed)
 
 
+def _out_dir(args, cfg: Config) -> Path:
+    """The command's output directory: the config path that --out spells.
+    Refused when it, or the nearest path above it that exists, is not a
+    directory, so that no work is done before a write that must fail."""
+    path = args.aliases["out"]
+    section, name = path.split(".")
+    out = Path(getattr(getattr(cfg, section), name))
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{path}: {existing} is not a directory")
+    return out
+
+
 def cmd_gen_data(args, cfg: Config):
-    out = Path(cfg.data.out_dir)
+    out = _out_dir(args, cfg)
 
     def run() -> int:
         train, eval_ = generate(cfg.data, cfg.seed)
@@ -119,7 +133,7 @@ def cmd_gen_data(args, cfg: Config):
 
 
 def cmd_train_stage1(args, cfg: Config):
-    out = Path(cfg.train.out_dir)
+    out = _out_dir(args, cfg)
 
     def run() -> int:
         _, state, rows = train_stage1(cfg, load_split(cfg.data, cfg.seed, "train"), out_dir=out)
@@ -133,8 +147,8 @@ def cmd_train_stage1(args, cfg: Config):
 
 
 def cmd_train_stage2(args, cfg: Config):
-    out = Path(cfg.train.out_dir)
-    ckpt = Path(args.checkpoint or out / "stage1.ckpt")
+    out = _out_dir(args, cfg)
+    ckpt = Path(args.checkpoint if args.checkpoint is not None else out / "stage1.ckpt")
 
     def run() -> int:
         stage1_params, _, _ = load_checkpoint(ckpt)
@@ -150,13 +164,13 @@ def cmd_train_stage2(args, cfg: Config):
 
 
 def cmd_eval_retrieval(args, cfg: Config):
-    out = Path(cfg.train.out_dir)
-    ckpt = Path(args.checkpoint or out / "stage1.ckpt")
+    out = _out_dir(args, cfg)
+    ckpt = Path(args.checkpoint if args.checkpoint is not None else out / "stage1.ckpt")
 
     def run() -> int:
         params, _, _ = load_checkpoint(ckpt)
         model = build_stage1_model(cfg, cfg.seed)
-        load_params(model.params(), params, required_prefixes=("text.", "video.", "heads."))
+        load_params(model.params(), params, required_prefixes=STAGE2_FROZEN_PREFIXES)
         report = eval_retrieval(model, load_split(cfg.data, cfg.seed, "eval"))
         write_retrieval_csv(out / "retrieval.csv", report)
         print(
@@ -178,7 +192,7 @@ def cmd_gradcheck(args, cfg: Config):
         raise ConfigError(f"--seeds: {e}") from None
     except ValueError:
         raise ConfigError(f"--seeds: expected comma-separated integers, got {args.seeds!r}") from None
-    out = Path(cfg.train.out_dir)
+    out = _out_dir(args, cfg)
 
     def run() -> int:
         report = gradcheck_stage1(gradcheck_config(cfg), seeds=seeds)
@@ -221,7 +235,7 @@ def cmd_analyze_cost(args, cfg: Config):
         fixed = schedule_cost(fixed_window_schedule(schedule, frames), frames, grid, cfg.data.patch_dim, ffn)
     except ValueError as e:  # ScheduleError included
         raise ConfigError(f"--schedule/--frames: {e}") from None
-    out = Path(cfg.train.out_dir)
+    out = _out_dir(args, cfg)
 
     def run() -> int:
         out.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import params as P
-from .attention import WindowSpec, multi_head_attention, windowed_mha
+from .attention import WindowSpec, init_attention_params, multi_head_attention, windowed_mha
 from .config import CLS_ID, DataConfig, ModelConfig, PAD_ID, clip_stage_index
 from .engine import DiffArray, ShapeError
 from .engine import ops as O
@@ -28,17 +28,11 @@ from .engine import ops as O
 # ---------------------------------------------------------------------------
 
 
-def linear(x: DiffArray, p: dict) -> DiffArray:
-    return O.add(O.matmul(x, p["w"]), p["b"])
-
-
 def _ffn(x: DiffArray, p: dict) -> DiffArray:
-    return linear(O.gelu(linear(x, p["fc1"])), p["fc2"])
+    return P.linear(O.gelu(P.linear(x, p["fc1"])), p["fc2"])
 
 
 def _block_params(rng: np.random.Generator, dim: int, heads: int, ffn_ratio: int, window: tuple[int, int, int] | None = None) -> dict:
-    from .attention import init_attention_params
-
     return {
         "ln1": P.layernorm_init(dim),
         "attn": init_attention_params(rng, dim, heads, window=window),
@@ -48,16 +42,10 @@ def _block_params(rng: np.random.Generator, dim: int, heads: int, ffn_ratio: int
     }
 
 
-def _full_attention_block(x: DiffArray, p: dict, heads: int, add_mask: np.ndarray | None) -> DiffArray:
+def _block(x: DiffArray, p: dict, attend) -> DiffArray:
+    """Pre-norm transformer block; attend(h, attn_params) is its attention."""
     h = O.layernorm(x, p["ln1"]["g"], p["ln1"]["b"])
-    x = O.add(x, multi_head_attention(h, p["attn"], heads, add_mask))
-    h = O.layernorm(x, p["ln2"]["g"], p["ln2"]["b"])
-    return O.add(x, _ffn(h, p))
-
-
-def _windowed_block(x: DiffArray, p: dict, heads: int, spec: WindowSpec) -> DiffArray:
-    h = O.layernorm(x, p["ln1"]["g"], p["ln1"]["b"])
-    x = O.add(x, windowed_mha(h, spec, p["attn"], heads).a)
+    x = O.add(x, attend(h, p["attn"]))
     h = O.layernorm(x, p["ln2"]["g"], p["ln2"]["b"])
     return O.add(x, _ffn(h, p))
 
@@ -135,7 +123,7 @@ class TextEncoder:
 
         mask1 = self._sentence_mask(pad_mask)
         for i in range(t.sentence_layers):
-            x = _full_attention_block(x, p["sentence_blocks"][str(i)], t.heads, mask1)
+            x = _block(x, p["sentence_blocks"][str(i)], lambda h, a: multi_head_attention(h, a, t.heads, mask1))
 
         cls_positions = np.arange(M) * L
         sentence_feats = O.take(x, cls_positions, axis=1)  # (B, M, d)
@@ -149,7 +137,7 @@ class TextEncoder:
         key_mask = np.concatenate([np.ones((B, 1), dtype=bool), pad_mask.reshape(B, M * L)], axis=1)
         mask2 = _key_mask_to_additive(key_mask)
         for i in range(t.paragraph_layers):
-            x2 = _full_attention_block(x2, p["paragraph_blocks"][str(i)], t.heads, mask2)
+            x2 = _block(x2, p["paragraph_blocks"][str(i)], lambda h, a: multi_head_attention(h, a, t.heads, mask2))
         x2 = O.layernorm(x2, p["ln_out"]["g"], p["ln_out"]["b"])
 
         paragraph = O.reshape(O.take(x2, np.array([0]), axis=1), (B, t.dim))
@@ -236,13 +224,13 @@ class VideoEncoder:
                 x = self._merge_tokens(x, s.merge)
             h, w = h // s.merge, w // s.merge
             if "merge" in sp:
-                x = linear(x, sp["merge"])
+                x = P.linear(x, sp["merge"])
             if i == 0:
                 space = O.reshape(sp["space_emb"], (1, 1, h, w, s.dim))
                 x = O.add(x, space)
             spec = WindowSpec(temporal=s.temporal_window, spatial=s.spatial_window)
             for j in range(s.layers):
-                x = _windowed_block(x, sp["blocks"][str(j)], s.heads, spec)
+                x = _block(x, sp["blocks"][str(j)], lambda h, a: windowed_mha(h, spec, a, s.heads).a)
             maps.append(x)
         return maps
 
@@ -320,14 +308,14 @@ class CrossEncoder:
             raise ShapeError(f"expected {self.text_tokens} text tokens, got {text_tokens.shape[1]}")
         vtok = self.pool_video(video_feature_map)
         n_v = vtok.shape[1]
-        x = O.concat([linear(text_tokens, self.params["text_adapter"]), linear(vtok, self.params["video_adapter"])], axis=1)
+        x = O.concat([P.linear(text_tokens, self.params["text_adapter"]), P.linear(vtok, self.params["video_adapter"])], axis=1)
         x = O.add(x, O.reshape(self.params["pos_emb"], (1, self.total_tokens, c.dim)))
 
         video_allowed = np.ones((B, n_v), dtype=bool) if video_key_mask is None else video_key_mask.astype(bool)
         key_mask = np.concatenate([text_key_mask.astype(bool), video_allowed], axis=1)
         add_mask = _key_mask_to_additive(key_mask)
         for i in range(c.layers):
-            x = _full_attention_block(x, self.params["blocks"][str(i)], c.heads, add_mask)
+            x = _block(x, self.params["blocks"][str(i)], lambda h, a: multi_head_attention(h, a, c.heads, add_mask))
         x = O.layernorm(x, self.params["ln_out"]["g"], self.params["ln_out"]["b"])
         cls = O.reshape(O.take(x, np.array([0]), axis=1), (B, c.dim))
         return CrossOutput(
@@ -363,14 +351,9 @@ class ContrastiveHeads:
             "video": P.linear_init(rng, d_video, dc),
         }
 
-    def project_text(self, feats: DiffArray) -> DiffArray:
-        return O.l2_normalize(linear(feats, self.params["text"]))
-
-    def project_clip(self, feats: DiffArray) -> DiffArray:
-        return O.l2_normalize(linear(feats, self.params["clip"]))
-
-    def project_video(self, feats: DiffArray) -> DiffArray:
-        return O.l2_normalize(linear(feats, self.params["video"]))
+    def project(self, name: str, feats: DiffArray) -> DiffArray:
+        """Project feats through the "text", "clip" or "video" head, then L2-normalize."""
+        return O.l2_normalize(P.linear(feats, self.params[name]))
 
 
 class CrossHeads:
@@ -381,12 +364,6 @@ class CrossHeads:
             "mlm": P.linear_init(rng, cross_dim, vocab_size),
             "vtm": P.linear_init(rng, cross_dim, 2),
         }
-
-    def mlm_logits(self, token_feats: DiffArray) -> DiffArray:
-        return linear(token_feats, self.params["mlm"])
-
-    def vtm_logits(self, cls_feat: DiffArray) -> DiffArray:
-        return linear(cls_feat, self.params["vtm"])
 
 
 @dataclass
@@ -412,10 +389,10 @@ def encode_pair(
     tout = text_enc.forward(token_ids, pad_mask)
     vout = video_enc.forward(patches)
     return EncodedPair(
-        sentence_reps=heads.project_text(tout.sentence_feats),
-        paragraph_rep=heads.project_text(tout.paragraph_feat),
-        clip_reps=heads.project_clip(vout.clip_feats),
-        video_rep=heads.project_video(vout.video_feat),
+        sentence_reps=heads.project("text", tout.sentence_feats),
+        paragraph_rep=heads.project("text", tout.paragraph_feat),
+        clip_reps=heads.project("clip", vout.clip_feats),
+        video_rep=heads.project("video", vout.video_feat),
         text=tout,
         video=vout,
     )

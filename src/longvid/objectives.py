@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import params as P
 from .engine import DiffArray, EngineError
 from .engine import ops as O
 
@@ -209,7 +210,7 @@ def mlm_loss(
     B, n, d = token_feats.shape
     flat_idx = masked_positions[:, 0] * n + masked_positions[:, 1]
     gathered = O.take(O.reshape(token_feats, (B * n, d)), flat_idx, axis=0)
-    logits = O.add(O.matmul(gathered, mlm_head["w"]), mlm_head["b"])
+    logits = P.linear(gathered, mlm_head)
     return O.cross_entropy_logits(logits, labels)
 
 
@@ -218,12 +219,12 @@ def vtm_loss(cls_feats: DiffArray, labels: np.ndarray, vtm_head: dict) -> DiffAr
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() > 1:
         raise EngineError("match labels must be 0 or 1")
-    logits = O.add(O.matmul(cls_feats, vtm_head["w"]), vtm_head["b"])
+    logits = P.linear(cls_feats, vtm_head)
     return O.cross_entropy_logits(logits, labels)
 
 
 def vtm_accuracy(cls_feats: DiffArray, labels: np.ndarray, vtm_head: dict) -> float:
-    logits = O.add(O.matmul(cls_feats, vtm_head["w"]), vtm_head["b"])
+    logits = P.linear(cls_feats, vtm_head)
     pred = logits.data.argmax(axis=1)
     return float((pred == np.asarray(labels)).mean())
 

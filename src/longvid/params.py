@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import DiffArray, parameter
+from .engine import ops as O
 
 INIT_STD = 0.02
 
@@ -27,6 +28,11 @@ def ones(shape) -> DiffArray:
 
 def linear_init(rng: np.random.Generator, d_in: int, d_out: int) -> dict:
     return {"w": normal(rng, (d_in, d_out)), "b": zeros((d_out,))}
+
+
+def linear(x: DiffArray, p: dict) -> DiffArray:
+    """Apply a {w, b} layer made by linear_init."""
+    return O.add(O.matmul(x, p["w"]), p["b"])
 
 
 def layernorm_init(dim: int) -> dict:

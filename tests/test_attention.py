@@ -11,9 +11,10 @@ from longvid.attention import (
     WindowSpec,
     init_attention_params,
     masked_full_attention_reference,
-    merge_windows,
-    partition_windows,
+    multi_head_attention,
     receptive_field,
+    window_merge,
+    window_partition,
     windowed_mha,
 )
 from longvid.engine import Tape, backward, constant, parameter
@@ -35,45 +36,44 @@ def token_grid(rng, t, h, w, c):
 
 def test_partition_counts_paper_shape():
     rng = np.random.default_rng(0)
-    grid = token_grid(rng, 32, 2, 2, 4)
-    blocks = partition_windows(grid, WindowSpec(temporal=8))
-    assert len(blocks) == 4
-    assert blocks[0].shape == (8, 2, 2, 4)
+    grid = constant(rng.normal(size=(1, 32, 2, 2, 4)))
+    windows = window_partition(grid, WindowSpec(temporal=8))
+    assert windows.shape == (1, 4, 8 * 2 * 2, 4)
+    assert np.array_equal(windows.data[0, 0], grid.data[0, :8].reshape(8 * 2 * 2, 4))
 
 
 def test_partition_full_window_is_identity():
     rng = np.random.default_rng(1)
-    grid = token_grid(rng, 4, 2, 3, 5)
-    blocks = partition_windows(grid, WindowSpec(temporal=4))
-    assert len(blocks) == 1
-    assert np.array_equal(blocks[0].data, grid.data)
+    grid = constant(rng.normal(size=(1, 4, 2, 3, 5)))
+    windows = window_partition(grid, WindowSpec(temporal=4))
+    assert windows.shape == (1, 1, 4 * 2 * 3, 5)
+    assert np.array_equal(windows.data.reshape(grid.shape), grid.data)
 
 
 def test_partition_numbered_tokens_and_reassembly():
-    tokens = constant(np.arange(6.0).reshape(6, 1, 1, 1))
+    tokens = constant(np.arange(6.0).reshape(1, 6, 1, 1, 1))
     spec = WindowSpec(temporal=2)
-    blocks = partition_windows(tokens, spec)
-    values = [b.data.reshape(-1).tolist() for b in blocks]
-    assert values == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-    rebuilt = merge_windows(blocks, spec, 6, 1, 1)
+    windows = window_partition(tokens, spec)
+    assert windows.data.reshape(3, 2).tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    rebuilt = window_merge(windows, spec, 6, 1, 1)
     assert np.array_equal(rebuilt.data, tokens.data)
 
 
 def test_partition_spatial_windows_tile_the_grid():
     rng = np.random.default_rng(2)
-    grid = token_grid(rng, 4, 4, 6, 3)
+    grid = constant(rng.normal(size=(1, 4, 4, 6, 3)))
     spec = WindowSpec(temporal=2, spatial=(2, 3))
-    blocks = partition_windows(grid, spec)
-    assert len(blocks) == (4 // 2) * (4 // 2) * (6 // 3)
-    rebuilt = merge_windows(blocks, spec, 4, 4, 6)
+    windows = window_partition(grid, spec)
+    assert windows.shape == (1, (4 // 2) * (4 // 2) * (6 // 3), 2 * 2 * 3, 3)
+    rebuilt = window_merge(windows, spec, 4, 4, 6)
     assert np.array_equal(rebuilt.data, grid.data)
 
 
 def test_partition_rejects_non_divisible():
     rng = np.random.default_rng(3)
-    grid = token_grid(rng, 6, 2, 2, 4)
+    grid = constant(rng.normal(size=(1, 6, 2, 2, 4)))
     with pytest.raises(ScheduleError):
-        partition_windows(grid, WindowSpec(temporal=4))
+        window_partition(grid, WindowSpec(temporal=4))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,72 @@ def test_single_window_single_head_orthonormal_rows():
     probs = row / row.sum(axis=1, keepdims=True)
     expected = probs @ np.eye(d)
     assert np.abs(out.a.data.reshape(d, d) - expected).max() < 1e-12
+
+
+def numpy_attention(x, p, heads, bias=None, keys=None):
+    """Softmax attention over the rows of x (n, d), one head at a time, in
+    plain numpy. bias is (heads, n, n); keys indexes the rows that may be
+    attended to (all when None)."""
+    w = {name: value.data for name, value in p.items()}
+    n, d = x.shape
+    dh = d // heads
+    keys = np.arange(n) if keys is None else keys
+    q, k, v = (x @ w["w" + name] + w["b" + name] for name in "qkv")
+    per_head = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[keys, cols].T / np.sqrt(dh)
+        if bias is not None:
+            scores = scores + bias[h][:, keys]
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        per_head.append(e / e.sum(axis=1, keepdims=True) @ v[keys, cols])
+    return np.concatenate(per_head, axis=1) @ w["wo"] + w["bo"]
+
+
+def random_attention_params(rng, dim, heads, window=None):
+    # Weights of order one, so that a wrong term shows far above 1e-12.
+    shapes = init_attention_params(rng, dim, heads, window=window)
+    return {name: constant(rng.normal(scale=0.5, size=value.shape)) for name, value in shapes.items()}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_full_attention_matches_numpy_with_key_mask(seed):
+    rng = np.random.default_rng(seed)
+    B, n, dim, heads = 2, 7, 12, 3
+    p = random_attention_params(rng, dim, heads)
+    x = rng.normal(size=(B, n, dim))
+    allowed = rng.random((B, n)) < 0.6
+    allowed[:, 0] = True
+    add_mask = np.where(allowed[:, None, None, :], 0.0, -1e9)
+    out = multi_head_attention(constant(x), p, heads, add_mask).data
+    for b in range(B):
+        expected = numpy_attention(x[b], p, heads, keys=np.flatnonzero(allowed[b]))
+        assert np.abs(out[b] - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_windowed_attention_matches_numpy_with_relative_bias(seed):
+    rng = np.random.default_rng(seed)
+    T, H, W, dim, heads = 4, 4, 2, 12, 3
+    wt, sh, sw = 2, 2, 2
+    p = random_attention_params(rng, dim, heads, window=(wt, sh, sw))
+    grid = rng.normal(size=(T, H, W, dim))
+    # Table row of the offset (dt, dh, dw) between two tokens of a window.
+    coords = [(t, i, j) for t in range(wt) for i in range(sh) for j in range(sw)]
+    rows = np.array(
+        [[((a[0] - b[0] + wt - 1) * (2 * sh - 1) + a[1] - b[1] + sh - 1) * (2 * sw - 1) + a[2] - b[2] + sw - 1 for b in coords] for a in coords]
+    )
+    bias = np.moveaxis(p["rel_bias"].data[rows], -1, 0)  # (heads, t, t)
+    expected = np.empty_like(grid)
+    for t0 in range(0, T, wt):
+        for i0 in range(0, H, sh):
+            for j0 in range(0, W, sw):
+                block = (slice(t0, t0 + wt), slice(i0, i0 + sh), slice(j0, j0 + sw))
+                x = grid[block].reshape(-1, dim)
+                expected[block] = numpy_attention(x, p, heads, bias=bias).reshape(wt, sh, sw, dim)
+    spec = WindowSpec(temporal=wt, spatial=(sh, sw))
+    assert np.abs(windowed_mha(constant(grid), spec, p, heads).a.data - expected).max() < 1e-12
+    assert np.abs(masked_full_attention_reference(constant(grid), spec, p, heads).data - expected).max() < 1e-12
 
 
 def test_cross_window_perturbation_is_exactly_zero():

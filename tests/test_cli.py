@@ -361,6 +361,26 @@ def test_checkpoint_that_is_a_directory_exits_config(workdir, capsys, command):
     assert err == f"config error: {workdir / 'ckpt'}: not a checkpoint file (not a regular file)\n"
 
 
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+@pytest.mark.parametrize(
+    "command, out, path",
+    [("train-stage1", "afile", "train.out_dir"), ("gen-data", "afile/sub", "data.out_dir")],
+    ids=["train-stage1", "gen-data"],
+)
+def test_out_in_place_of_a_file_exits_config_before_any_work(workdir, capsys, command, out, path, dry_run):
+    (workdir / "afile").write_text("not a directory\n")
+    assert main([command, *FAST, "--out", out, *dry_run]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {path}: afile is not a directory\n"
+    assert [p.name for p in workdir.rglob("*")] == ["afile"]
+
+
+def test_empty_checkpoint_is_not_the_default_checkpoint(workdir, capsys):
+    assert main(["train-stage1", *FAST]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval-retrieval", *FAST, "--checkpoint", ""]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: .: not a checkpoint file (not a regular file)\n"
+
+
 def test_shard_that_is_a_directory_exits_config(workdir, capsys):
     (workdir / "data/toy/train.shard").mkdir(parents=True)
     assert main(["train-stage1", *FAST]) == EXIT_CONFIG
