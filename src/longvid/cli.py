@@ -13,7 +13,6 @@ default.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ from pathlib import Path
 from .attention import StageSpec, WindowSchedule
 from .config import Config, ConfigError, check_field, dump_config, load_config
 from .costmodel import fixed_window_schedule, render_table, report_csv_rows, schedule_cost
-from .data import generate, load_split, write_shard
+from .data import csv_bytes, generate, load_split, write_artifact, write_shard
 from .pipeline import (
     STAGE2_FROZEN_PREFIXES,
     DivergenceError,
@@ -196,9 +195,8 @@ def cmd_gradcheck(args, cfg: Config):
 
     def run() -> int:
         report = gradcheck_stage1(gradcheck_config(cfg), seeds=seeds)
-        out.mkdir(parents=True, exist_ok=True)
         text = report.render()
-        (out / "gradcheck.txt").write_text(text + "\n")
+        write_artifact(out / "gradcheck.txt", [(text + "\n").encode()])
         print(text)
         return EXIT_OK if report.ok else EXIT_GRADCHECK
 
@@ -238,9 +236,7 @@ def cmd_analyze_cost(args, cfg: Config):
     out = _out_dir(args, cfg)
 
     def run() -> int:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "cost.csv", "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(report_csv_rows(report))
+        write_artifact(out / "cost.csv", [csv_bytes(report_csv_rows(report))])
         print(render_table(report))
         print(f"hierarchical total: {report.total}  fixed-{frames} total: {fixed.total}  ratio: {fixed.total / report.total:.3f}x")
         return EXIT_OK

@@ -6,13 +6,19 @@ walk, so temporal distance and topic distance correlate. Clip m's frames are
 noisy linear images of topic m; sentence m's tokens are drawn from a
 topic-conditioned vocabulary distribution. The latent topics are kept on each
 sample as ground truth for probes.
+
+The module also holds the one reader and the one writer of every artifact
+(shards, checkpoints, CSVs and reports).
 """
 
 from __future__ import annotations
 
-import os
+import csv
+import io
+import math
 import struct
-import warnings
+import uuid
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,87 +209,135 @@ def vtm_pairs(patches: np.ndarray, prob: float, rng: np.random.Generator) -> tup
 
 
 # ---------------------------------------------------------------------------
-# shard file format (little-endian, versioned header)
+# artifact io: one reader and one writer for shards, checkpoints and reports
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<4sI9I")  # magic, version, M N H W p L vocab count topic_dim
+
+class CorruptFileError(ConfigError):
+    """A shard or checkpoint path is not a regular file, or its bytes do not decode as its format requires."""
 
 
-class TruncatedFileError(ConfigError):
+class TruncatedFileError(CorruptFileError):
     """A shard or checkpoint ends before the bytes its header promises."""
 
 
-def read_exact(fh, n: int, path) -> bytes:
-    """Exactly n bytes from fh, or TruncatedFileError; a corrupt header's
+class ArtifactReader:
+    """Bounded reads from an open shard or checkpoint: a corrupt header's
     huge byte count is refused before anything is allocated."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise TruncatedFileError(f"{path}: truncated file (wanted {n} bytes at offset {fh.tell()}, {left} left)")
-    return fh.read(n)
+
+    def __init__(self, fh, path: Path, kind: str):
+        self.fh, self.path, self.kind = fh, path, kind
+        self.left = fh.seek(0, 2)
+        fh.seek(0)
+
+    def corrupt(self, what: str) -> CorruptFileError:
+        return CorruptFileError(f"{self.path}: corrupt {self.kind} ({what})")
+
+    def take(self, n: int) -> bytes:
+        if n > self.left:
+            raise TruncatedFileError(f"{self.path}: truncated file (wanted {n} bytes at offset {self.fh.tell()}, {self.left} left)")
+        self.left -= n
+        return self.fh.read(n)
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n: int, what: str) -> str:
+        raw = self.take(n)
+        try:
+            return raw.decode()
+        except UnicodeDecodeError:
+            raise self.corrupt(f"{what} at offset {self.fh.tell() - n} is not UTF-8") from None
+
+    def array(self, shape: tuple[int, ...], stored: str, dtype=np.float64) -> np.ndarray:
+        """A writable `dtype` copy of the next array, stored as `stored`."""
+        raw = self.take(np.dtype(stored).itemsize * math.prod(shape))
+        try:
+            return np.frombuffer(raw, dtype=stored).reshape(shape).astype(dtype)
+        except ValueError as e:  # more dims than numpy allows, or a zero-size shape too large to index
+            raise self.corrupt(f"array shape {shape} at offset {self.fh.tell() - len(raw)}: {e}") from None
+
+
+def read_artifact(path: str | Path, kind: str, magic: bytes, version: int, read_body, missing=FileNotFoundError):
+    """Open a `kind` file, check its magic and u32 version, and return
+    `read_body(reader)`. Bytes after the body's last field are refused."""
+    path = Path(path)
+    if not path.exists():
+        raise missing(f"{kind} not found: {path}")
+    if not path.is_file():
+        raise CorruptFileError(f"{path}: not a {kind} (not a regular file)")
+    with open(path, "rb") as fh:
+        reader = ArtifactReader(fh, path, kind)
+        found = reader.take(len(magic))
+        if found != magic:
+            raise CorruptFileError(f"{path}: not a {kind} (magic {found!r})")
+        (found,) = reader.unpack("<I")
+        if found != version:
+            raise CorruptFileError(f"{path}: unsupported {kind} version {found} (this reader knows {version})")
+        body = read_body(reader)
+        if reader.left:
+            raise reader.corrupt(f"{reader.left} trailing bytes after the last field, at offset {fh.tell()}")
+    return body
+
+
+def write_artifact(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to a temporary file beside path, then move it into place: a failed
+    write leaves what was at path before, and no temporary file. Creates parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def csv_bytes(rows: Iterable[Iterable]) -> bytes:
+    """Rows as comma-separated lines, each ending in a bare newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
+
+
+# after the magic and version: these u32 fields, then per sample its u64 id, f8 topics (M, topic_dim),
+# f8 patches (M, N, H, W, p), u4 tokens (M, L) and u4 lengths (M,)
+_SHARD_FIELDS = ("clips", "frames_per_clip", "patch_rows", "patch_cols", "patch_dim", "max_tokens", "vocab_size", "count", "topic_dim")
 
 
 def write_shard(path: str | Path, samples: list[PairedSample], cfg: DataConfig) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                SHARD_MAGIC,
-                SHARD_VERSION,
-                cfg.clips,
-                cfg.frames_per_clip,
-                cfg.patch_rows,
-                cfg.patch_cols,
-                cfg.patch_dim,
-                cfg.max_tokens,
-                cfg.vocab_size,
-                len(samples),
-                cfg.topic_dim,
-            )
-        )
+    dims = [len(samples) if name == "count" else getattr(cfg, name) for name in _SHARD_FIELDS]
+
+    def chunks():
+        yield SHARD_MAGIC + struct.pack(f"<I{len(dims)}I", SHARD_VERSION, *dims)
         for s in samples:
-            fh.write(struct.pack("<Q", s.sample_id))
-            fh.write(s.topics.astype("<f8").tobytes())
-            fh.write(s.patches.astype("<f8").tobytes())
-            fh.write(s.tokens.astype("<u4").tobytes())
-            fh.write(s.lengths.astype("<u4").tobytes())
+            yield struct.pack("<Q", s.sample_id)
+            yield s.topics.astype("<f8").tobytes()
+            yield s.patches.astype("<f8").tobytes()
+            yield s.tokens.astype("<u4").tobytes()
+            yield s.lengths.astype("<u4").tobytes()
+
+    write_artifact(path, chunks())
 
 
 def read_shard(path: str | Path) -> tuple[list[PairedSample], dict]:
-    path = Path(path)
-    if path.exists() and not path.is_file():
-        raise ConfigError(f"{path}: not a data shard (not a regular file)")
-    with open(path, "rb") as fh:
-        magic, version, M, N, H, W, p, L, vocab, count, dz = _HEADER.unpack(read_exact(fh, _HEADER.size, path))
-        if magic != SHARD_MAGIC:
-            raise ConfigError(f"{path}: not a data shard (magic {magic!r})")
-        if version != SHARD_VERSION:
-            raise ConfigError(f"{path}: unsupported shard version {version}")
-        meta = {
-            "clips": M,
-            "frames_per_clip": N,
-            "patch_rows": H,
-            "patch_cols": W,
-            "patch_dim": p,
-            "max_tokens": L,
-            "vocab_size": vocab,
-            "count": count,
-            "topic_dim": dz,
-        }
+    def body(r: ArtifactReader):
+        dims = r.unpack(f"<{len(_SHARD_FIELDS)}I")
+        M, N, H, W, p, L, _, count, dz = dims
         samples = []
         for _ in range(count):
-            (sid,) = struct.unpack("<Q", read_exact(fh, 8, path))
-            topics = np.frombuffer(read_exact(fh, 8 * M * dz, path), dtype="<f8").reshape(M, dz).copy()
-            patches = (
-                np.frombuffer(read_exact(fh, 8 * M * N * H * W * p, path), dtype="<f8").reshape(M, N, H, W, p).copy()
-            )
-            tokens = np.frombuffer(read_exact(fh, 4 * M * L, path), dtype="<u4").reshape(M, L).astype(np.int64)
-            lengths = np.frombuffer(read_exact(fh, 4 * M, path), dtype="<u4").astype(np.int64)
+            (sid,) = r.unpack("<Q")
+            topics = r.array((M, dz), "<f8")
+            patches = r.array((M, N, H, W, p), "<f8")
+            tokens = r.array((M, L), "<u4", np.int64)
+            lengths = r.array((M,), "<u4", np.int64)
             samples.append(PairedSample(sid, topics, patches, tokens, lengths))
-        trailing = fh.read(1)
-        if trailing:
-            warnings.warn(f"{path}: trailing bytes after {count} samples", stacklevel=2)
-    return samples, meta
+        return samples, dict(zip(_SHARD_FIELDS, dims))
+
+    return read_artifact(path, "data shard", SHARD_MAGIC, SHARD_VERSION, body)
 
 
 def load_split(cfg: DataConfig, seed: int, split: str) -> list[PairedSample]:

@@ -10,7 +10,6 @@ checkpoints byte for byte.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import struct
 from dataclasses import asdict, dataclass, field, replace
@@ -19,7 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config, ConfigError, build_config, merge_config_dict
-from .data import PairedSample, generate, mask_tokens, read_exact, stack_batch, vtm_pairs
+from .data import (
+    ArtifactReader,
+    CorruptFileError as CorruptCheckpointError,  # a checkpoint's bytes do not decode as its format requires
+    PairedSample,
+    csv_bytes,
+    generate,
+    mask_tokens,
+    read_artifact,
+    stack_batch,
+    vtm_pairs,
+    write_artifact,
+)
 from .encoders import (
     ContrastiveHeads,
     CrossEncoder,
@@ -28,7 +38,8 @@ from .encoders import (
     VideoEncoder,
     encode_pair,
 )
-from .engine import DiffArray, Tape, analytic_gradients, constant, no_tape, numeric_gradient
+from .engine import DiffArray, Tape, check_gradients, constant, no_tape
+from .engine.check import GradMismatch
 from .objectives import (
     MtcSampling,
     global_contrastive_loss,
@@ -61,14 +72,6 @@ class DivergenceError(RuntimeError):
 
 class MissingCheckpointError(FileNotFoundError):
     """A required checkpoint file does not exist."""
-
-
-class CorruptCheckpointError(ConfigError):
-    """A checkpoint's bytes do not decode as the format requires."""
-
-
-class NotACheckpointError(ConfigError):
-    """A checkpoint path names a directory or another non-regular file."""
 
 
 # ---------------------------------------------------------------------------
@@ -218,72 +221,37 @@ def batch_indices(n: int, batch_size: int, steps: int, seed: int):
 
 
 def write_metrics_csv(path: str | Path, rows: list[dict]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in METRICS_COLUMNS])
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    write_artifact(path, [csv_bytes([METRICS_COLUMNS, *([row.get(c) for c in METRICS_COLUMNS] for row in rows)])])
 
 
 def save_checkpoint(path: str | Path, params: dict, stage: str, step: int) -> None:
     """Versioned binary map of parameter path to float64 array."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     items = sorted((k, (v.data if isinstance(v, DiffArray) else np.asarray(v, dtype=np.float64))) for k, v in params.items())
-    with open(path, "wb") as fh:
+
+    def chunks():
         stage_b = stage.encode()
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<IHQI", CKPT_VERSION, len(stage_b), step, len(items)))
-        fh.write(stage_b)
+        yield CKPT_MAGIC + struct.pack("<IHQI", CKPT_VERSION, len(stage_b), step, len(items)) + stage_b
         for key, arr in items:
             kb = key.encode()
-            fh.write(struct.pack("<H", len(kb)))
-            fh.write(kb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-            fh.write(arr.astype("<f8").tobytes())
+            yield struct.pack(f"<H{len(kb)}sB{arr.ndim}I", len(kb), kb, arr.ndim, *arr.shape)
+            yield arr.astype("<f8").tobytes()
+
+    write_artifact(path, chunks())
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], str, int]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingCheckpointError(f"checkpoint not found: {path}")
-    if not path.is_file():
-        raise NotACheckpointError(f"{path}: not a checkpoint file (not a regular file)")
-    with open(path, "rb") as fh:
-        if read_exact(fh, 4, path) != CKPT_MAGIC:
-            raise ConfigError(f"{path}: not a checkpoint file")
-        version, stage_len, step, count = struct.unpack("<IHQI", read_exact(fh, 18, path))
-        if version != CKPT_VERSION:
-            raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        stage = _read_text(fh, stage_len, path, "stage name")
+    def body(r: ArtifactReader):
+        stage_len, step, count = r.unpack("<HQI")
+        stage = r.text(stage_len, "stage name")
         params: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (klen,) = struct.unpack("<H", read_exact(fh, 2, path))
-            key = _read_text(fh, klen, path, "parameter name")
-            (ndim,) = struct.unpack("<B", read_exact(fh, 1, path))
-            shape = struct.unpack(f"<{ndim}I", read_exact(fh, 4 * ndim, path))
-            n = int(np.prod(shape))
-            params[key] = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<f8").reshape(shape).copy()
-    return params, stage, step
+            (klen,) = r.unpack("<H")
+            key = r.text(klen, "parameter name")
+            (ndim,) = r.unpack("<B")
+            params[key] = r.array(r.unpack(f"<{ndim}I"), "<f8")
+        return params, stage, step
 
-
-def _read_text(fh, n: int, path: Path, what: str) -> str:
-    raw = read_exact(fh, n, path)
-    try:
-        return raw.decode()
-    except UnicodeDecodeError:
-        raise CorruptCheckpointError(f"{path}: corrupt checkpoint ({what} at offset {fh.tell() - n} is not UTF-8)") from None
+    return read_artifact(path, "checkpoint file", CKPT_MAGIC, CKPT_VERSION, body, missing=MissingCheckpointError)
 
 
 def digest_params(params: dict, prefixes: tuple[str, ...] = ()) -> str:
@@ -502,12 +470,7 @@ def eval_retrieval(model: Stage1Model, eval_data: list[PairedSample], batch_size
 
 
 def write_retrieval_csv(path: str | Path, report: RetrievalReport) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r_at_1", "r_at_5", "median_rank", "count"])
-        writer.writerow([repr(report.r_at_1), repr(report.r_at_5), repr(report.median_rank), report.count])
+    write_artifact(path, [csv_bytes([["r_at_1", "r_at_5", "median_rank", "count"], list(asdict(report).values())])])
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +479,10 @@ def write_retrieval_csv(path: str | Path, report: RetrievalReport) -> None:
 
 
 @dataclass
-class GradcheckFailure:
-    path: str
-    flat_index: int
-    analytic: float
-    numeric: float
-
-
-@dataclass
 class GradcheckReport:
     seeds: tuple[int, ...]
     checked: int
-    failures: list[GradcheckFailure] = field(default_factory=list)
+    failures: list[tuple[str, GradMismatch]] = field(default_factory=list)  # (parameter path, mismatch)
 
     @property
     def ok(self) -> bool:
@@ -539,8 +494,8 @@ class GradcheckReport:
             lines.append("result: PASS (0 failures)")
         else:
             lines.append(f"result: FAIL ({len(self.failures)} failures)")
-            for f in self.failures[:50]:
-                lines.append(f"  {f.path}[{f.flat_index}]: analytic={f.analytic!r} numeric={f.numeric!r}")
+            for path, m in self.failures[:50]:
+                lines.append(f"  {path}[{m.flat_index}]: analytic={m.analytic!r} numeric={m.numeric!r}")
         return "\n".join(lines)
 
 
@@ -621,12 +576,7 @@ def gradcheck_stage1(
             k, i = rest[j]
             picked.setdefault(k, []).append(i)
 
-        analytic = analytic_gradients(loss, arrays)
-        for k, entries in picked.items():
-            numeric = numeric_gradient(loss, arrays, k, h=h, entries=entries).reshape(-1)
-            for i in entries:
-                a, n = float(analytic[k].reshape(-1)[i]), float(numeric[i])
-                if abs(a - n) > atol + rtol * abs(n):
-                    report.failures.append(GradcheckFailure(paths[k], i, a, n))
-                report.checked += 1
+        result = check_gradients(loss, arrays, rtol=rtol, atol=atol, h=h, entries=picked)
+        report.failures += [(paths[m.array_index], m) for m in result.mismatches]
+        report.checked += result.checked
     return report

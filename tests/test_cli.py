@@ -387,6 +387,32 @@ def test_shard_that_is_a_directory_exits_config(workdir, capsys):
     assert capsys.readouterr().err == "config error: data/toy/train.shard: not a data shard (not a regular file)\n"
 
 
+@pytest.mark.parametrize(
+    "make, artifact, damage, command",
+    [
+        ("train-stage1", "runs/toy/stage1.ckpt", "trailing", "eval-retrieval"),
+        ("train-stage1", "runs/toy/stage1.ckpt", "ndim=3", "eval-retrieval"),
+        ("train-stage1", "runs/toy/stage1.ckpt", "ndim^64", "train-stage2"),
+        ("gen-data", "data/toy/train.shard", "trailing", "train-stage1"),
+    ],
+)
+def test_damaged_artifact_exits_config(workdir, capsys, make, artifact, damage, command):
+    assert main([make, *FAST]) == EXIT_OK
+    path = workdir / artifact
+    raw = bytearray(path.read_bytes())
+    if damage == "trailing":
+        raw += b"\x00" * 5
+    else:  # the first parameter's ndim byte, after magic, header, stage name, key length and key
+        key_at = 4 + 18 + len("stage1") + 2
+        ndim_at = key_at + int.from_bytes(raw[key_at - 2 : key_at], "little")
+        raw[ndim_at] = 3 if damage == "ndim=3" else raw[ndim_at] ^ 64
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main([command, *FAST]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {artifact}: ") and len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # determinism across processes
 # ---------------------------------------------------------------------------
