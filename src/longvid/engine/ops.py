@@ -142,6 +142,7 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
     Against a 2-d right operand (a weight) the leading dims of `a` fold into
     the rows of one GEMM, forward and backward, so the weight gradient is a
     single (d_in, d_out) product rather than a batch of them summed down.
+    The backward skips the product of an operand that needs no gradient.
     """
     a, b = as_diff(a), as_diff(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -155,15 +156,16 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
 
         def bwd(g):
             g_rows = g.reshape(-1, d_out)
-            return (g_rows @ b.data.T).reshape(a.data.shape), rows.T @ g_rows
+            ga = (g_rows @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
+            return ga, (rows.T @ g_rows if b.requires_grad else None)
 
     else:
         out_data = np.matmul(a.data, b.data)
 
         def bwd(g):
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape) if a.requires_grad else None
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape) if b.requires_grad else None
+            return ga, gb
 
     _tally_matmul(out_data.shape, a.shape[-1])
     return record_op(DiffArray(out_data), (a, b), bwd)

@@ -1,23 +1,23 @@
 """Two-stage trainer, retrieval evaluation, and the gradient-check harness.
 
 Stage one trains the text and video encoders with the global + temporal
-contrastive objective. Stage two freezes them (outputs computed off-tape and
-excluded from the optimizer) and trains the cross-modal encoder with
-masked-token prediction and video-text matching. Every random draw is keyed
-by (seed, stream, step), so identical config + seed reproduces metrics and
-checkpoints byte for byte.
+contrastive objective. Stage two freezes them (excluded from the optimizer,
+each sample's outputs encoded once, off-tape) and trains the cross-modal
+encoder with masked-token prediction and video-text matching. Every random
+draw is keyed by (seed, stream, step), so identical config + seed reproduces
+metrics and checkpoints byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import Config, ConfigError, build_config, merge_config_dict
+from .config import PAD_ID, Config, ConfigError, build_config, merge_config_dict
 from .data import (
     ArtifactReader,
     CorruptFileError as CorruptCheckpointError,  # a checkpoint's bytes do not decode as its format requires
@@ -274,24 +274,25 @@ def digest_params(params: dict, prefixes: tuple[str, ...] = ()) -> str:
 def _train(
     cfg: Config,
     state: TrainState,
-    train_data: list[PairedSample],
+    n_train: int,
     total_steps: int,
     out_dir: str | Path | None,
     batch_loss,
 ) -> list[dict]:
-    """The step loop of both stages: `batch_loss(batch, step)` returns the
-    total loss and the stage's named losses. Writes `<stage>_metrics.csv`
-    and `<stage>.ckpt` under out_dir, if given."""
-    steps_per_epoch = max(1, len(train_data) // cfg.train.batch_size)
+    """The step loop of both stages: `batch_loss(idx, step)` gathers the
+    train rows `idx` and returns the total loss and the stage's named
+    losses. Writes `<stage>_metrics.csv` and `<stage>.ckpt` under out_dir,
+    if given."""
+    steps_per_epoch = max(1, n_train // cfg.train.batch_size)
     warmup = round(cfg.train.warmup_epochs * steps_per_epoch)
     rows: list[dict] = []
 
-    for step, idx in enumerate(batch_indices(len(train_data), cfg.train.batch_size, total_steps, cfg.seed)):
+    for step, idx in enumerate(batch_indices(n_train, cfg.train.batch_size, total_steps, cfg.seed)):
         lr = lr_at(step, total_steps, warmup, cfg.train.learning_rate)
         for p in state.params.values():
             p.zero_grad()
         with Tape() as tape:
-            total, losses = batch_loss([train_data[i] for i in idx], step)
+            total, losses = batch_loss(idx, step)
             loss_val = total.item()
             if not np.isfinite(loss_val):
                 if out_dir is not None:
@@ -340,12 +341,13 @@ def train_stage1(
     model = build_stage1_model(cfg, cfg.seed)
     state = TrainState.fresh(model.params(), stage="stage1", seed=cfg.seed)
 
-    def batch_loss(batch: list[PairedSample], step: int):
-        total, l_global, l_mtc = stage1_batch_loss(model, cfg, *stack_batch(batch), step, cfg.seed)
+    def batch_loss(idx: np.ndarray, step: int):
+        batch = stack_batch([train_data[i] for i in idx])
+        total, l_global, l_mtc = stage1_batch_loss(model, cfg, *batch, step, cfg.seed)
         return total, {"loss_global": l_global, "loss_mtc": l_mtc}
 
     total_steps = steps if steps is not None else cfg.train.stage1_steps
-    return model, state, _train(cfg, state, train_data, total_steps, out_dir, batch_loss)
+    return model, state, _train(cfg, state, len(train_data), total_steps, out_dir, batch_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -353,29 +355,64 @@ def train_stage1(
 # ---------------------------------------------------------------------------
 
 
-def stage2_batch_loss(model: Stage2Model, cfg: Config, batch: list[PairedSample], step: int, seed: int):
+@dataclass(frozen=True)
+class FrozenFeatures:
+    """The frozen stage-one encoders' outputs, one row per sample."""
+
+    text_tokens: np.ndarray  # (N, 1 + M*L, d_text) paragraph-level text tokens
+    key_mask: np.ndarray  # (N, 1 + M*L) True where attendable
+    feature_map: np.ndarray  # (N, T, Hf, Wf, d_video) final video stage
+    paragraph_feat: np.ndarray  # (N, d_text)
+    video_feat: np.ndarray  # (N, d_video)
+
+    def rows(self, idx) -> "FrozenFeatures":
+        return FrozenFeatures(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+
+def encode_frozen(stage1: Stage1Model, samples: list[PairedSample], batch_size: int = 16) -> FrozenFeatures:
+    """Text and video encodings of `samples`, batched, with no tape.
+
+    Both encoders are row-independent, so a row does not depend on the
+    batch it was encoded in."""
+    parts = []
+    with no_tape():
+        for start in range(0, len(samples), batch_size):
+            tokens, pad, patches = stack_batch(samples[start : start + batch_size])
+            tout = stage1.text.forward(tokens, pad)
+            vout = stage1.video.forward(constant(patches))
+            parts.append((tout.tokens.data, tout.key_mask, vout.feature_map.data, tout.paragraph_feat.data, vout.video_feat.data))
+    return FrozenFeatures(*(np.concatenate(col) for col in zip(*parts)))
+
+
+def stage2_batch_loss(
+    model: Stage2Model, cfg: Config, batch: list[PairedSample], step: int, seed: int, frozen: FrozenFeatures | None = None
+):
     """Two cross-modal forwards per step: masked-token prediction over the
     matched pair, and matching over probabilistically replaced videos.
-    Frozen encoders run off-tape, so their outputs are constants."""
+
+    `frozen` is the batch's rows of `encode_frozen`, encoded here when None.
+    Only the masked text depends on the step: its forward runs here, off
+    tape. The unmasked text tokens and the video feature maps are read from
+    `frozen`, and `vtm_pairs` swaps feature-map rows as it would swap the
+    patches they were encoded from."""
     lo = cfg.losses
-    tokens, pad, patches = stack_batch(batch)
+    if frozen is None:
+        frozen = encode_frozen(model.stage1, batch)
+    tokens = np.stack([s.tokens for s in batch])
     masked = mask_tokens(tokens, lo.mask_rate, np.random.default_rng([seed, _MASK_STREAM, step]), cfg.data.vocab_size)
-    mixed, labels = vtm_pairs(patches, lo.vtm_replace_prob, np.random.default_rng([seed, _VTM_STREAM, step]))
+    mixed, labels = vtm_pairs(frozen.feature_map, lo.vtm_replace_prob, np.random.default_rng([seed, _VTM_STREAM, step]))
 
     with no_tape():
-        tout_masked = model.stage1.text.forward(masked.token_ids, pad)
-        vout = model.stage1.video.forward(constant(patches))
-        tout = model.stage1.text.forward(tokens, pad)
-        vout_mixed = model.stage1.video.forward(constant(mixed))
+        tout_masked = model.stage1.text.forward(masked.token_ids, tokens != PAD_ID)
 
-    cross_m = model.cross.forward(tout_masked.tokens, tout_masked.key_mask, vout.feature_map)
+    cross_m = model.cross.forward(tout_masked.tokens, tout_masked.key_mask, constant(frozen.feature_map))
     L = cfg.data.max_tokens
     joint_positions = np.stack(
         [masked.positions[:, 0], 1 + masked.positions[:, 1] * L + masked.positions[:, 2]], axis=1
     ) if len(masked.positions) else np.zeros((0, 2), dtype=np.int64)
     l_mlm = mlm_loss(cross_m.tokens, joint_positions, masked.labels, model.cross_heads.params["mlm"])
 
-    cross_v = model.cross.forward(tout.tokens, tout.key_mask, vout_mixed.feature_map)
+    cross_v = model.cross.forward(constant(frozen.text_tokens), frozen.key_mask, constant(mixed))
     l_vtm = vtm_loss(cross_v.cls_feat, labels, model.cross_heads.params["vtm"])
     return stage2_loss(l_mlm, l_vtm, lo.vtm_weight), l_mlm, l_vtm
 
@@ -387,34 +424,41 @@ def train_stage2(
     out_dir: str | Path | None = None,
     steps: int | None = None,
 ) -> tuple[Stage2Model, TrainState, list[dict]]:
+    """Trains the cross encoder and its heads on frozen stage-one encoders.
+
+    The whole train split is encoded once by `encode_frozen`, before the
+    first step; each step gathers its batch's rows and runs only the masked
+    text forward and the two taped cross forwards."""
     model = build_stage2_model(cfg, cfg.seed, stage1_params)
     state = TrainState.fresh(model.params(), stage="stage2", seed=cfg.seed, frozen=STAGE2_FROZEN_PREFIXES)
+    frozen = encode_frozen(model.stage1, train_data)
 
-    def batch_loss(batch: list[PairedSample], step: int):
-        total, l_mlm, l_vtm = stage2_batch_loss(model, cfg, batch, step, cfg.seed)
+    def batch_loss(idx: np.ndarray, step: int):
+        batch = [train_data[i] for i in idx]
+        total, l_mlm, l_vtm = stage2_batch_loss(model, cfg, batch, step, cfg.seed, frozen.rows(idx))
         return total, {"loss_mlm": l_mlm, "loss_vtm": l_vtm}
 
     total_steps = steps if steps is not None else cfg.train.stage2_steps
-    return model, state, _train(cfg, state, train_data, total_steps, out_dir, batch_loss)
+    return model, state, _train(cfg, state, len(train_data), total_steps, out_dir, batch_loss)
 
 
 def vtm_eval_accuracy(model: Stage2Model, cfg: Config, eval_data: list[PairedSample], seed: int = 9) -> float:
-    """Matching accuracy on held-out pairs at the configured replace rate."""
+    """Matching accuracy on held-out pairs at the configured replace rate,
+    over the eval split's whole batches."""
+    B = cfg.train.batch_size
+    n = len(eval_data) // B * B
+    if n == 0:
+        return 0.0
+    frozen = encode_frozen(model.stage1, eval_data[:n])
     rng = np.random.default_rng([seed, _VTM_STREAM, 10**6])
     correct = 0
-    total = 0
-    B = cfg.train.batch_size
     with no_tape():
-        for start in range(0, len(eval_data) - B + 1, B):
-            batch = eval_data[start : start + B]
-            tokens, pad, patches = stack_batch(batch)
-            mixed, labels = vtm_pairs(patches, cfg.losses.vtm_replace_prob, rng)
-            tout = model.stage1.text.forward(tokens, pad)
-            vout = model.stage1.video.forward(constant(mixed))
-            out = model.cross.forward(tout.tokens, tout.key_mask, vout.feature_map)
-            correct += vtm_accuracy(out.cls_feat, labels, model.cross_heads.params["vtm"]) * len(batch)
-            total += len(batch)
-    return correct / max(1, total)
+        for start in range(0, n, B):
+            batch = frozen.rows(slice(start, start + B))
+            mixed, labels = vtm_pairs(batch.feature_map, cfg.losses.vtm_replace_prob, rng)
+            out = model.cross.forward(constant(batch.text_tokens), batch.key_mask, constant(mixed))
+            correct += vtm_accuracy(out.cls_feat, labels, model.cross_heads.params["vtm"]) * B
+    return correct / n
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +476,11 @@ class RetrievalReport:
 
 def encode_eval(model: Stage1Model, samples: list[PairedSample], batch_size: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Paragraph and video representations of an eval split (no tape)."""
-    paras, vids = [], []
+    frozen = encode_frozen(model, samples, batch_size)
     with no_tape():
-        for start in range(0, len(samples), batch_size):
-            batch = samples[start : start + batch_size]
-            tokens, pad, patches = stack_batch(batch)
-            pair = encode_pair(model.text, model.video, model.heads, tokens, pad, constant(patches))
-            paras.append(pair.paragraph_rep.data.copy())
-            vids.append(pair.video_rep.data.copy())
-    return np.concatenate(paras), np.concatenate(vids)
+        paras = model.heads.project("text", constant(frozen.paragraph_feat))
+        vids = model.heads.project("video", constant(frozen.video_feat))
+    return paras.data, vids.data
 
 
 def ranks_from_similarity(sim: np.ndarray) -> np.ndarray:

@@ -107,6 +107,21 @@ def test_matmul_against_weight_finite_differences():
     assert res.ok and res.checked == a.size + w.size
 
 
+@pytest.mark.parametrize("shapes", [((3, 4, 5), (5, 6)), ((3, 4, 5), (3, 5, 6))])
+def test_matmul_backward_skips_the_constant_operand(shapes):
+    # the input gradient of a constant is never formed, on either branch
+    rng = np.random.default_rng(9)
+    x, w = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+    g = rng.normal(size=np.matmul(x, w).shape)
+    with Tape() as t:
+        matmul(constant(x), parameter(w))
+        matmul(parameter(x), constant(w))
+    ga, gw = t.ops[0].backward_fn(g)
+    assert ga is None and gw.shape == w.shape
+    ga, gw = t.ops[1].backward_fn(g)
+    assert gw is None and ga.shape == x.shape
+
+
 # ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ import pytest
 
 from longvid import pipeline
 from longvid.config import default_config
-from longvid.data import TruncatedFileError, generate
-from longvid.engine import DiffArray, Tape, active_tape, check_gradients, parameter, record_op
+from longvid.data import TruncatedFileError, generate, mask_tokens, stack_batch, vtm_pairs
+from longvid.encoders import VideoEncoder
+from longvid.engine import DiffArray, Tape, active_tape, check_gradients, constant, no_tape, parameter, record_op
 from longvid.engine import ops as O
+from longvid.objectives import mlm_loss, stage2_loss, vtm_accuracy, vtm_loss
 from longvid.pipeline import (
     STAGE2_FROZEN_PREFIXES,
     CorruptCheckpointError,
@@ -272,6 +274,77 @@ def test_stage2_frozen_parameters_have_zero_gradient(tiny_cfg, tiny_data, stage1
         if any(path.startswith(pre) for pre in STAGE2_FROZEN_PREFIXES):
             assert p.grad is None, path
     assert any(p.grad is not None for path, p in params.items() if path.startswith("cross."))
+
+
+def _stage2_reference_loss(model, cfg, batch, step, seed):
+    """Stage 2's loss with four frozen forwards per step, each from the
+    inputs: the masked text, the text, the video and the matching videos
+    (another sample's patches swapped in)."""
+    lo = cfg.losses
+    tokens, pad, patches = stack_batch(batch)
+    masked = mask_tokens(tokens, lo.mask_rate, np.random.default_rng([seed, pipeline._MASK_STREAM, step]), cfg.data.vocab_size)
+    mixed, labels = vtm_pairs(patches, lo.vtm_replace_prob, np.random.default_rng([seed, pipeline._VTM_STREAM, step]))
+    with no_tape():
+        tout_masked = model.stage1.text.forward(masked.token_ids, pad)
+        vout = model.stage1.video.forward(constant(patches))
+        tout = model.stage1.text.forward(tokens, pad)
+        vout_mixed = model.stage1.video.forward(constant(mixed))
+    cross_m = model.cross.forward(tout_masked.tokens, tout_masked.key_mask, vout.feature_map)
+    pos = masked.positions
+    joint = np.stack([pos[:, 0], 1 + pos[:, 1] * cfg.data.max_tokens + pos[:, 2]], axis=1)
+    l_mlm = mlm_loss(cross_m.tokens, joint, masked.labels, model.cross_heads.params["mlm"])
+    cross_v = model.cross.forward(tout.tokens, tout.key_mask, vout_mixed.feature_map)
+    l_vtm = vtm_loss(cross_v.cls_feat, labels, model.cross_heads.params["vtm"])
+    return stage2_loss(l_mlm, l_vtm, lo.vtm_weight), {"loss_mlm": l_mlm, "loss_vtm": l_vtm}
+
+
+def _vtm_reference_accuracy(model, cfg, eval_data, seed=9):
+    rng = np.random.default_rng([seed, pipeline._VTM_STREAM, 10**6])
+    B = cfg.train.batch_size
+    hits = 0.0
+    with no_tape():
+        for start in range(0, len(eval_data) - B + 1, B):
+            tokens, pad, patches = stack_batch(eval_data[start : start + B])
+            mixed, labels = vtm_pairs(patches, cfg.losses.vtm_replace_prob, rng)
+            tout = model.stage1.text.forward(tokens, pad)
+            out = model.cross.forward(tout.tokens, tout.key_mask, model.stage1.video.forward(constant(mixed)).feature_map)
+            hits += vtm_accuracy(out.cls_feat, labels, model.cross_heads.params["vtm"]) * B
+    return hits / (len(eval_data) // B * B)
+
+
+def test_stage2_matches_four_frozen_forwards_per_step(tiny_cfg, tiny_data, stage1_ckpt):
+    # three epochs: every row of the one frozen encode is read three times
+    train, eval_ = tiny_data
+    model, _, rows = train_stage2(tiny_cfg, stage1_ckpt, train, steps=6)
+
+    ref = build_stage2_model(tiny_cfg, tiny_cfg.seed, stage1_ckpt)
+    state = TrainState.fresh(ref.params(), "stage2", tiny_cfg.seed, frozen=STAGE2_FROZEN_PREFIXES)
+    ref_rows = pipeline._train(
+        tiny_cfg, state, len(train), 6, None,
+        lambda idx, step: _stage2_reference_loss(ref, tiny_cfg, [train[i] for i in idx], step, tiny_cfg.seed),
+    )
+    assert len(rows) == len(ref_rows) == 6
+    for got, want in zip(rows, ref_rows):
+        for col in ("loss_total", "loss_mlm", "loss_vtm"):
+            assert got[col] == pytest.approx(want[col], rel=1e-12, abs=0.0), (got["step"], col)
+
+    held_out = eval_ + train
+    assert pipeline.vtm_eval_accuracy(model, tiny_cfg, held_out) == _vtm_reference_accuracy(model, tiny_cfg, held_out)
+
+
+@pytest.mark.parametrize("steps", [1, 6])
+def test_stage2_video_encodes_each_train_sample_once(monkeypatch, tiny_cfg, tiny_data, stage1_ckpt, steps):
+    train, _ = tiny_data
+    forward = VideoEncoder.forward
+    encoded = []
+
+    def counted(self, patches):
+        encoded.append(patches.shape[0])
+        return forward(self, patches)
+
+    monkeypatch.setattr(VideoEncoder, "forward", counted)
+    train_stage2(tiny_cfg, stage1_ckpt, train, steps=steps)
+    assert sum(encoded) == len(train)
 
 
 def test_stage2_requires_complete_checkpoint(tiny_cfg):
