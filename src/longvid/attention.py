@@ -10,7 +10,6 @@ layers see the whole clip sequence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,39 +189,11 @@ class AttentionOutput:
 # ---------------------------------------------------------------------------
 
 
-def _heads_split(x: DiffArray, heads: int) -> DiffArray:
-    # (..., n, dim) -> (..., heads, n, dim/heads)
-    *lead, n, dim = x.shape
-    x = O.reshape(x, (*lead, n, heads, dim // heads))
-    order = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    return O.transpose(x, order)
-
-
-def _heads_join(x: DiffArray) -> DiffArray:
-    # (..., heads, n, dh) -> (..., n, heads*dh)
-    *lead, h, n, dh = x.shape
-    order = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    x = O.transpose(x, order)
-    return O.reshape(x, (*lead, n, h * dh))
-
-
-def _attend(q: DiffArray, k: DiffArray, v: DiffArray, bias: DiffArray | None, add_mask: np.ndarray | None) -> DiffArray:
-    dh = q.shape[-1]
-    scores = O.scale(O.matmul(q, O.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))), 1.0 / math.sqrt(dh))
-    if bias is not None:
-        scores = O.add(scores, bias)
-    if add_mask is not None:
-        scores = O.add(scores, O.as_diff(add_mask))
-    probs = O.softmax(scores, axis=-1)
-    return O.matmul(probs, v)
-
-
 def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | None, add_mask: np.ndarray | None) -> DiffArray:
-    """The one attention core: project q, k and v from x (..., n, dim), attend
-    per head, join the heads and project back."""
-    q, k, v = (_heads_split(O.add(O.matmul(x, p["w" + name]), p["b" + name]), heads) for name in "qkv")
-    ctx = _heads_join(_attend(q, k, v, bias, add_mask))
-    return O.add(O.matmul(ctx, p["wo"]), p["bo"])
+    """The one attention core: project q, k and v from x (..., n, dim), run
+    one attention op over the heads and project back."""
+    q, k, v = (O.add(O.matmul(x, p["w" + name]), p["b" + name]) for name in "qkv")
+    return O.add(O.matmul(O.attention(q, k, v, heads, bias, add_mask), p["wo"]), p["bo"])
 
 
 def _window_bias(p: dict, spec: WindowSpec, sh: int, sw: int) -> DiffArray | None:
@@ -264,7 +235,9 @@ def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> At
 def masked_full_attention_reference(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> DiffArray:
     """Oracle path: full attention over the flattened grid with an additive
     cross-window mask (and the relative bias placed block-locally). Must
-    match windowed_mha elementwise; only the projections are shared with it.
+    match windowed_mha elementwise. It shares the projections and the
+    attention op with it; the mask, not the window partition, keeps each
+    token's attention inside its window.
     """
     squeeze = tokens.ndim == 4
     if squeeze:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .array import DiffArray, ShapeError, active_tape
+from .array import DiffArray, ShapeError, active_tape, no_tape
 
 _pysum = sum  # the builtin; `sum` below is the reduction op
 
@@ -300,6 +300,62 @@ def softmax(x: DiffArray, axis: int = -1) -> DiffArray:
         return (y * (g - dot),)
 
     return record_op(out, (x,), bwd)
+
+
+def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffArray | None = None, add_mask: np.ndarray | None = None) -> DiffArray:
+    """Multi-head softmax attention as one op.
+
+    q, k and v are (..., n, dim) projections, split into `heads` heads of
+    dh = dim/heads. Per head, softmax(q·kᵀ/√dh + bias + add_mask) weights v,
+    and the heads are joined back to (..., n, dim). bias is broadcastable to
+    the (..., heads, n, n) scores; add_mask is a constant that broadcasts
+    into them. Both products go through `matmul` off the tape, so they are
+    counted like any other. The forward works in place on one scores
+    buffer; the backward keeps the per-head q, kᵀ and v and the
+    probabilities, and recomputes nothing.
+    """
+    dim = q.shape[-1]
+    if dim % heads:
+        raise ShapeError(f"dim {dim} not divisible by heads {heads}")
+    dh = dim // heads
+    s = 1.0 / math.sqrt(dh)
+
+    def heads_of(x: np.ndarray, n_axis: int = -2) -> np.ndarray:
+        """(..., n, dim) -> (..., heads, n, dh), or (..., heads, dh, n) with n_axis=-1."""
+        return np.ascontiguousarray(np.moveaxis(x.reshape(*x.shape[:-1], heads, dh), -3, n_axis))
+
+    def joined(x: np.ndarray, n_axis: int = -2) -> np.ndarray:
+        """The inverse of heads_of. Contiguous: a gradient's layout sets the
+        order of later sums over it, and so their last bits."""
+        x = np.ascontiguousarray(np.moveaxis(x, n_axis, -3))
+        return x.reshape(*x.shape[:-2], dim)
+
+    inputs = (q, k, v) if bias is None else (q, k, v, bias)
+    qh, kt, vh = heads_of(q.data), heads_of(k.data, -1), heads_of(v.data)
+    with no_tape():
+        probs = matmul(DiffArray(qh), DiffArray(kt)).data
+        probs *= s
+        if bias is not None:
+            probs += bias.data
+        if add_mask is not None:
+            probs += add_mask
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        out = DiffArray(joined(matmul(DiffArray(probs), DiffArray(vh)).data))
+
+    def bwd(g):
+        g = heads_of(g)
+        gp = np.matmul(g, np.swapaxes(vh, -1, -2))
+        gv = joined(np.matmul(np.swapaxes(probs, -1, -2), g)) if v.requires_grad else None
+        gp = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+        gbias = _unbroadcast(gp, bias.shape) if bias is not None and bias.requires_grad else None
+        gp = gp * s
+        gq = joined(np.matmul(gp, np.swapaxes(kt, -1, -2))) if q.requires_grad else None
+        gk = joined(np.matmul(np.swapaxes(qh, -1, -2), gp), -1) if k.requires_grad else None
+        return (gq, gk, gv, gbias)[: len(inputs)]
+
+    return record_op(out, inputs, bwd)
 
 
 def gelu(x: DiffArray) -> DiffArray:

@@ -17,7 +17,7 @@ from longvid.attention import (
     window_partition,
     windowed_mha,
 )
-from longvid.engine import Tape, backward, constant, parameter
+from longvid.engine import Tape, backward, check_gradients, constant, parameter
 from longvid.engine import ops as O
 
 
@@ -168,6 +168,59 @@ def test_windowed_attention_matches_numpy_with_relative_bias(seed):
     spec = WindowSpec(temporal=wt, spatial=(sh, sw))
     assert np.abs(windowed_mha(constant(grid), spec, p, heads).a.data - expected).max() < 1e-12
     assert np.abs(masked_full_attention_reference(constant(grid), spec, p, heads).data - expected).max() < 1e-12
+
+
+def check_attention_gradients(attend, x, p, seed):
+    """Finite differences over x and every parameter of p, every entry, of
+    the sum of attend(x, params) weighted by fixed random coefficients."""
+    names = list(p)
+    weights = constant(np.random.default_rng(seed + 100).normal(size=x.shape))
+
+    def loss(x, *values):
+        return O.sum(O.mul(attend(x, dict(zip(names, values))), weights))
+
+    arrays = [parameter(x)] + [parameter(p[n].data.copy()) for n in names]
+    res = check_gradients(loss, arrays, rtol=1e-5, atol=1e-8)
+    assert res.checked == sum(a.size for a in arrays)
+    assert res.ok, res.mismatches[:5]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_windowed_attention_gradients_by_finite_differences(seed):
+    # Spatial windows, two samples, relative bias: the bias table's gradient
+    # is the one a sampled gradient check rarely reaches.
+    rng = np.random.default_rng(seed)
+    B, T, H, W, dim, heads = 2, 4, 2, 2, 6, 2
+    spec = WindowSpec(temporal=2, spatial=(1, 2))
+    p = random_attention_params(rng, dim, heads, window=(2, 1, 2))
+    x = rng.normal(size=(B, T, H, W, dim))
+    check_attention_gradients(lambda x, a: windowed_mha(x, spec, a, heads).a, x, p, seed)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_full_attention_gradients_by_finite_differences_with_key_mask(seed):
+    rng = np.random.default_rng(seed)
+    B, n, dim, heads = 2, 5, 6, 2
+    p = random_attention_params(rng, dim, heads)
+    x = rng.normal(size=(B, n, dim))
+    allowed = np.ones((B, n), dtype=bool)
+    allowed[0, [1, 3]] = False
+    allowed[1, 4] = False
+    add_mask = np.where(allowed[:, None, None, :], 0.0, -1e9)
+    check_attention_gradients(lambda x, a: multi_head_attention(x, a, heads, add_mask), x, p, seed)
+
+
+def test_attention_records_one_op_for_its_core():
+    # Projections (matmul + add for each of q, k, v and the output) around
+    # one attention op; windowed attention adds partition, bias and merge.
+    rng = np.random.default_rng(9)
+    p = {name: parameter(value.data) for name, value in random_attention_params(rng, 8, 2, window=(2, 1, 2)).items()}
+    with Tape() as tape:
+        multi_head_attention(parameter(rng.normal(size=(2, 5, 8))), p, 2, np.zeros((2, 1, 1, 5)))
+    assert len(tape) == 9
+    with Tape() as tape:
+        windowed_mha(parameter(rng.normal(size=(2, 4, 2, 2, 8))), WindowSpec(temporal=2, spatial=(1, 2)), p, 2)
+    assert len(tape) == 17
 
 
 def test_cross_window_perturbation_is_exactly_zero():
