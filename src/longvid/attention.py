@@ -95,10 +95,7 @@ class WindowSchedule:
         if windows[-1] != frames:
             raise ScheduleError(f"last temporal window {windows[-1]} must equal frame count {frames}")
         for i, s in enumerate(self.stages):
-            if frames % s.temporal_window:
-                raise ScheduleError(f"window {s.temporal_window} does not divide frame count {frames}")
-            h, w = self.grid_after(i, grid)
-            WindowSpec(s.temporal_window, s.spatial_window).validate(frames, h, w)
+            WindowSpec(s.temporal_window, s.spatial_window).validate(frames, *self.grid_after(i, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +186,27 @@ class AttentionOutput:
 # ---------------------------------------------------------------------------
 
 
-def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | None, add_mask: np.ndarray | None) -> DiffArray:
+def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | np.ndarray | None) -> DiffArray:
     """The one attention core: project q, k and v from x (..., n, dim), run
-    one attention op over the heads and project back."""
+    one attention op over the heads and project back. bias is the op's one
+    additive input: a learned DiffArray, a constant mask or None."""
     q, k, v = (O.add(O.matmul(x, p["w" + name]), p["b" + name]) for name in "qkv")
-    return O.add(O.matmul(O.attention(q, k, v, heads, bias, add_mask), p["wo"]), p["bo"])
+    return O.add(O.matmul(O.attention(q, k, v, heads, bias), p["wo"]), p["bo"])
 
 
-def _window_bias(p: dict, spec: WindowSpec, sh: int, sw: int) -> DiffArray | None:
-    """The (heads, t, t) relative-position bias of one window, if p has a table."""
+def _window_bias(p: dict, spec: WindowSpec, h: int, w: int) -> DiffArray | None:
+    """The (heads, t, t) relative-position bias of one window of an h x w
+    grid, if p has a table."""
     if "rel_bias" not in p:
         return None
-    idx = relative_index_map((spec.temporal, sh, sw))
-    return O.transpose(O.embedding(p["rel_bias"], idx), (2, 0, 1))
+    idx = relative_index_map((spec.temporal, *spec.resolve_spatial(h, w)))
+    return O.transpose(O.take(p["rel_bias"], idx), (2, 0, 1))
 
 
 def multi_head_attention(x: DiffArray, p: dict, heads: int, add_mask: np.ndarray | None = None) -> DiffArray:
     """Full self-attention over (B, n, dim) with an optional additive mask
     broadcastable to (B, heads, n, n)."""
-    return _mha(x, p, heads, None, add_mask)
+    return _mha(x, p, heads, add_mask)
 
 
 def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> AttentionOutput:
@@ -219,13 +218,8 @@ def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> At
     if squeeze:
         tokens = O.reshape(tokens, (1, *tokens.shape))
     B, T, H, W, C = tokens.shape
-    if C % heads:
-        raise ShapeError(f"dim {C} not divisible by heads {heads}")
-    spec.validate(T, H, W)
-    sh, sw = spec.resolve_spatial(H, W)
-
     xw = window_partition(tokens, spec)  # (B, nW, t, C)
-    per_window = _mha(xw, p, heads, _window_bias(p, spec, sh, sw), None)
+    per_window = _mha(xw, p, heads, _window_bias(p, spec, H, W))
     a = window_merge(per_window, spec, T, H, W)
     if squeeze:
         a = O.reshape(a, (T, H, W, C))
@@ -234,37 +228,33 @@ def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> At
 
 def masked_full_attention_reference(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> DiffArray:
     """Oracle path: full attention over the flattened grid with an additive
-    cross-window mask (and the relative bias placed block-locally). Must
-    match windowed_mha elementwise. It shares the projections and the
-    attention op with it; the mask, not the window partition, keeps each
-    token's attention inside its window.
+    cross-window mask, added to the relative bias placed block-locally; the
+    sum is the attention op's one bias. Must match windowed_mha elementwise.
+    It shares the projections and the attention op with it; the mask, not
+    the window partition, keeps each token's attention inside its window.
     """
     squeeze = tokens.ndim == 4
     if squeeze:
         tokens = O.reshape(tokens, (1, *tokens.shape))
     B, T, H, W, C = tokens.shape
-    spec.validate(T, H, W)
-    sh, sw = spec.resolve_spatial(H, W)
     n = T * H * W
 
     # Flatten in window order so the mask is block-diagonal.
     xw = window_partition(tokens, spec)
     flat = O.reshape(xw, (B, n, C))
-    nwin = xw.shape[1]
-    t = spec.temporal * sh * sw
+    nwin, t = xw.shape[1], xw.shape[2]
 
-    mask = np.full((n, n), -1e9)
+    bias = np.full((n, n), -1e9)  # the cross-window mask
     for b in range(nwin):
-        mask[b * t : (b + 1) * t, b * t : (b + 1) * t] = 0.0
+        bias[b * t : (b + 1) * t, b * t : (b + 1) * t] = 0.0
 
-    bias_full = None
-    block = _window_bias(p, spec, sh, sw)
+    block = _window_bias(p, spec, H, W)
     if block is not None:
         zero = O.scale(block, 0.0)
         rows = [O.concat([block if j == i else zero for j in range(nwin)], axis=2) for i in range(nwin)]
-        bias_full = O.concat(rows, axis=1)  # (heads, n, n)
+        bias = O.add(O.concat(rows, axis=1), bias)  # (heads, n, n)
 
-    out = _mha(flat, p, heads, bias_full, mask)
+    out = _mha(flat, p, heads, bias)
     merged = window_merge(O.reshape(out, (B, nwin, t, C)), spec, T, H, W)
     if squeeze:
         merged = O.reshape(merged, (T, H, W, C))

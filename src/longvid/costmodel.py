@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attention import WindowSchedule
+from .attention import WindowSchedule, WindowSpec
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,6 @@ class CostReport:
     def total(self) -> int:
         return sum(s.total for s in self.stages)
 
-    @property
-    def attention_score_sum(self) -> int:
-        return self.attn_scores + self.attn_sums
-
 
 def schedule_cost(
     schedule: WindowSchedule,
@@ -133,13 +129,9 @@ def schedule_cost(
     schedules (cost comparisons) need not end at the full frame count the way
     a trainable encoder must.
     """
-    h, w = grid
     for i, s in enumerate(schedule.stages):
-        if frames % s.temporal_window:
-            raise ValueError(f"stage {i}: window {s.temporal_window} does not divide frame count {frames}")
-        hh, ww = schedule.grid_after(i, grid)
-        if s.spatial_window is not None and (hh % s.spatial_window[0] or ww % s.spatial_window[1]):
-            raise ValueError(f"stage {i}: spatial window {s.spatial_window} does not divide grid {(hh, ww)}")
+        WindowSpec(s.temporal_window, s.spatial_window).validate(frames, *schedule.grid_after(i, grid))
+    h, w = grid
     d_in = patch_dim
     stages: list[StageCost] = []
     peak = 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import params as P
 from .attention import WindowSpec, init_attention_params, multi_head_attention, windowed_mha
-from .config import CLS_ID, DataConfig, ModelConfig, PAD_ID, clip_stage_index
+from .config import CLS_ID, DataConfig, ModelConfig, clip_stage_index
 from .engine import DiffArray, ShapeError
 from .engine import ops as O
 
@@ -101,7 +101,7 @@ class TextEncoder:
         allowed = same[None, :, :] & pad.reshape(B, 1, n)
         return np.where(allowed[:, None, :, :], 0.0, -1e9)
 
-    def forward(self, token_ids: np.ndarray, pad_mask: np.ndarray | None = None) -> TextOutput:
+    def forward(self, token_ids: np.ndarray, pad_mask: np.ndarray) -> TextOutput:
         """token_ids: (B, M, L) ints; pad_mask True at real tokens."""
         B, M, L = token_ids.shape
         if M != self.sentences or L != self.max_tokens:
@@ -110,13 +110,11 @@ class TextEncoder:
             raise ShapeError("every sentence must start with [CLS]")
         if token_ids.max() >= self.vocab or token_ids.min() < 0:
             raise ShapeError(f"token ids out of range [0, {self.vocab})")
-        if pad_mask is None:
-            pad_mask = token_ids != PAD_ID
         pad_mask = pad_mask.astype(bool)
 
         t = self.cfg
         p = self.params
-        x = O.embedding(p["tok_emb"], token_ids.reshape(B, M * L))  # (B, n, d)
+        x = O.take(p["tok_emb"], token_ids.reshape(B, M * L))  # (B, n, d)
         pos = O.reshape(p["pos_emb"], (1, 1, L, t.dim))
         x = O.add(O.reshape(x, (B, M, L, t.dim)), pos)
         x = O.reshape(x, (B, M * L, t.dim))
@@ -259,8 +257,6 @@ class VideoEncoder:
 class CrossOutput:
     tokens: DiffArray  # (B, n, d)
     cls_feat: DiffArray  # (B, d)
-    text_span: tuple[int, int]  # [start, stop) of text tokens in the sequence
-    video_span: tuple[int, int]
 
 
 class CrossEncoder:
@@ -295,13 +291,7 @@ class CrossEncoder:
         B, T, ph, pw, d = pooled.shape
         return O.reshape(pooled, (B, T * ph * pw, d))
 
-    def forward(
-        self,
-        text_tokens: DiffArray,
-        text_key_mask: np.ndarray,
-        video_feature_map: DiffArray,
-        video_key_mask: np.ndarray | None = None,
-    ) -> CrossOutput:
+    def forward(self, text_tokens: DiffArray, text_key_mask: np.ndarray, video_feature_map: DiffArray) -> CrossOutput:
         c = self.cfg
         B = text_tokens.shape[0]
         if text_tokens.shape[1] != self.text_tokens:
@@ -311,19 +301,13 @@ class CrossEncoder:
         x = O.concat([P.linear(text_tokens, self.params["text_adapter"]), P.linear(vtok, self.params["video_adapter"])], axis=1)
         x = O.add(x, O.reshape(self.params["pos_emb"], (1, self.total_tokens, c.dim)))
 
-        video_allowed = np.ones((B, n_v), dtype=bool) if video_key_mask is None else video_key_mask.astype(bool)
-        key_mask = np.concatenate([text_key_mask.astype(bool), video_allowed], axis=1)
+        key_mask = np.concatenate([text_key_mask.astype(bool), np.ones((B, n_v), dtype=bool)], axis=1)
         add_mask = _key_mask_to_additive(key_mask)
         for i in range(c.layers):
             x = _block(x, self.params["blocks"][str(i)], lambda h, a: multi_head_attention(h, a, c.heads, add_mask))
         x = O.layernorm(x, self.params["ln_out"]["g"], self.params["ln_out"]["b"])
         cls = O.reshape(O.take(x, np.array([0]), axis=1), (B, c.dim))
-        return CrossOutput(
-            tokens=x,
-            cls_feat=cls,
-            text_span=(0, self.text_tokens),
-            video_span=(self.text_tokens, self.total_tokens),
-        )
+        return CrossOutput(tokens=x, cls_feat=cls)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +358,6 @@ class EncodedPair:
     paragraph_rep: DiffArray  # (B, dc)
     clip_reps: DiffArray  # (B, M, dc)
     video_rep: DiffArray  # (B, dc)
-    text: TextOutput
-    video: VideoOutput
 
 
 def encode_pair(
@@ -393,6 +375,4 @@ def encode_pair(
         paragraph_rep=heads.project("text", tout.paragraph_feat),
         clip_reps=heads.project("clip", vout.clip_feats),
         video_rep=heads.project("video", vout.video_feat),
-        text=tout,
-        video=vout,
     )

@@ -139,10 +139,6 @@ class DiffArray:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "DiffArray":
-        """A copy cut from the tape; gradients never flow through it."""
-        return DiffArray(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -4,8 +4,9 @@ Each op computes its forward value eagerly, and (when a tape is active and
 some input requires a gradient) records a closure implementing its local
 backward rule. Gradients accumulate additively across fan-out.
 
-Integer inputs (token ids, gather indices) and boolean masks are plain numpy
-arrays, never DiffArrays; no gradient flows through them.
+Integer inputs (token ids, gather indices) are plain numpy arrays, never
+DiffArrays, and additive masks enter attention as constants; no gradient
+flows through either.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 import numpy as np
 
 from .array import DiffArray, ShapeError, active_tape, no_tape
-
-_pysum = sum  # the builtin; `sum` below is the reduction op
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
@@ -211,33 +210,6 @@ def concat(arrays, axis: int = 0) -> DiffArray:
     return record_op(out, arrays, bwd)
 
 
-def split(a: DiffArray, sizes, axis: int = 0) -> list[DiffArray]:
-    """Split along an axis into consecutive pieces of the given sizes."""
-    sizes = [int(s) for s in sizes]
-    if _pysum(sizes) != a.shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not cover axis {axis} of {a.shape}")
-    outs = []
-    start = 0
-    for size in sizes:
-        outs.append(_narrow(a, axis, start, size))
-        start += size
-    return outs
-
-
-def _narrow(a: DiffArray, axis: int, start: int, size: int) -> DiffArray:
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + size)
-    idx = tuple(idx)
-    out = DiffArray(a.data[idx].copy())
-
-    def bwd(g):
-        da = np.zeros_like(a.data)
-        da[idx] = g
-        return (da,)
-
-    return record_op(out, (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -302,15 +274,15 @@ def softmax(x: DiffArray, axis: int = -1) -> DiffArray:
     return record_op(out, (x,), bwd)
 
 
-def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffArray | None = None, add_mask: np.ndarray | None = None) -> DiffArray:
+def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffArray | np.ndarray | None = None) -> DiffArray:
     """Multi-head softmax attention as one op.
 
     q, k and v are (..., n, dim) projections, split into `heads` heads of
-    dh = dim/heads. Per head, softmax(q·kᵀ/√dh + bias + add_mask) weights v,
-    and the heads are joined back to (..., n, dim). bias is broadcastable to
-    the (..., heads, n, n) scores; add_mask is a constant that broadcasts
-    into them. Both products go through `matmul` off the tape, so they are
-    counted like any other. The forward works in place on one scores
+    dh = dim/heads. Per head, softmax(q·kᵀ/√dh + bias) weights v, and the
+    heads are joined back to (..., n, dim). bias, broadcastable to the
+    (..., heads, n, n) scores, is a learned DiffArray or a constant mask,
+    lifted by `as_diff`. Both products go through `matmul` off the tape, so
+    they are counted like any other. The forward works in place on one scores
     buffer; the backward keeps the per-head q, kᵀ and v and the
     probabilities, and recomputes nothing.
     """
@@ -330,6 +302,8 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
         x = np.ascontiguousarray(np.moveaxis(x, n_axis, -3))
         return x.reshape(*x.shape[:-2], dim)
 
+    if bias is not None:
+        bias = as_diff(bias)
     inputs = (q, k, v) if bias is None else (q, k, v, bias)
     qh, kt, vh = heads_of(q.data), heads_of(k.data, -1), heads_of(v.data)
     with no_tape():
@@ -337,8 +311,6 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
         probs *= s
         if bias is not None:
             probs += bias.data
-        if add_mask is not None:
-            probs += add_mask
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
@@ -422,45 +394,22 @@ def l2_normalize(x: DiffArray, eps: float = 1e-24) -> DiffArray:
 # ---------------------------------------------------------------------------
 
 
-def embedding(table: DiffArray, ids: np.ndarray) -> DiffArray:
-    """Gather rows of a 2-d table; backward scatter-adds into the table."""
-    if table.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-d, got {table.shape}")
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(f"embedding ids out of range [0, {table.shape[0]})")
-    out = DiffArray(table.data[ids])
-
-    def bwd(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        return (dt,)
-
-    return record_op(out, (table,), bwd)
-
-
 def take(x: DiffArray, indices: np.ndarray, axis: int = 0) -> DiffArray:
-    """Select positions along one axis; duplicates accumulate in backward."""
+    """Select positions along one axis, table lookups included; duplicates
+    accumulate in backward. Every index must lie in [0, n): none wraps."""
     indices = np.asarray(indices, dtype=np.int64)
+    n = x.shape[axis]
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ShapeError(f"take indices out of range [0, {n})")
+    axis %= x.ndim
     out = DiffArray(np.take(x.data, indices, axis=axis))
 
     def bwd(g):
         dx = np.zeros_like(x.data)
-        dxm = np.moveaxis(dx, axis, 0)
-        gm = np.moveaxis(g, axis, 0) if indices.ndim else g
-        np.add.at(dxm, indices, gm)
+        # the indices span indices.ndim axes of g, starting at `axis`
+        gm = np.moveaxis(g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim)))
+        np.add.at(np.moveaxis(dx, axis, 0), indices, gm)
         return (dx,)
-
-    return record_op(out, (x,), bwd)
-
-
-def masked_fill(x: DiffArray, mask: np.ndarray, value: float = -1e9) -> DiffArray:
-    """Replace masked positions with a constant; their gradient is zero."""
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-    out = DiffArray(np.where(mask, value, x.data))
-
-    def bwd(g):
-        return (np.where(mask, 0.0, g),)
 
     return record_op(out, (x,), bwd)
 

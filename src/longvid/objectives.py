@@ -42,13 +42,6 @@ class MtcSampling:
             raise EngineError("cross-negative count must be >= 0")
 
 
-def similarity(f1: DiffArray, f2: DiffArray, temperature: float) -> DiffArray:
-    """Temperature-scaled dot product of two unit-norm vectors."""
-    if temperature <= 0:
-        raise EngineError("temperature must be > 0")
-    return O.scale(O.sum(O.mul(f1, f2)), 1.0 / temperature)
-
-
 def select_positive(anchor: int, candidates: list[int]) -> int:
     """Candidate with minimal temporal distance; ties break to lower index."""
     if not candidates:
@@ -138,11 +131,13 @@ def mtc_loss(
     """Batch temporal contrastive loss, averaged over both directions.
 
     clip_reps / sentence_reps: (B, M, d) unit-norm. Every draw comes from a
-    stream keyed by (seed_key, direction, sample key), so batch position
-    never changes a sample's sampling; `sample_keys` remaps the per-sample
-    streams (defaults to batch position). Cross-sample negatives come from
-    the other samples' representations of the candidate modality (sentences
-    when clips anchor, clips when sentences anchor);
+    stream keyed by (seed_key, direction, sample key). The sample key is the
+    batch position unless `sample_keys` gives one per sample, so with the
+    default (every program call) a sample's draws depend on where it sits in
+    the batch. `sample_keys` exists for the duplication-invariance test,
+    which gives two copies of a sample the same key. Cross-sample negatives
+    come from the other samples' representations of the candidate modality
+    (sentences when clips anchor, clips when sentences anchor);
     `negatives_fn(direction, sample, rng)` overrides the draw for tests.
     """
     B, M, d = clip_reps.shape

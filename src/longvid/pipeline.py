@@ -151,11 +151,10 @@ class TrainState:
     adam_v: dict[str, np.ndarray]
     step: int
     stage: str
-    frozen: tuple[str, ...] = ()
-    seed: int = 0
 
     @classmethod
-    def fresh(cls, params: dict[str, DiffArray], stage: str, seed: int, frozen=()) -> "TrainState":
+    def fresh(cls, params: dict[str, DiffArray], stage: str, frozen=()) -> "TrainState":
+        """Zeroed moments for every parameter outside the `frozen` prefixes."""
         trainables = [k for k in params if not any(k.startswith(p) for p in frozen)]
         return cls(
             params=params,
@@ -163,8 +162,6 @@ class TrainState:
             adam_v={k: np.zeros_like(params[k].data) for k in trainables},
             step=0,
             stage=stage,
-            frozen=tuple(frozen),
-            seed=seed,
         )
 
     @property
@@ -339,7 +336,7 @@ def train_stage1(
     steps: int | None = None,
 ) -> tuple[Stage1Model, TrainState, list[dict]]:
     model = build_stage1_model(cfg, cfg.seed)
-    state = TrainState.fresh(model.params(), stage="stage1", seed=cfg.seed)
+    state = TrainState.fresh(model.params(), stage="stage1")
 
     def batch_loss(idx: np.ndarray, step: int):
         batch = stack_batch([train_data[i] for i in idx])
@@ -384,20 +381,16 @@ def encode_frozen(stage1: Stage1Model, samples: list[PairedSample], batch_size: 
     return FrozenFeatures(*(np.concatenate(col) for col in zip(*parts)))
 
 
-def stage2_batch_loss(
-    model: Stage2Model, cfg: Config, batch: list[PairedSample], step: int, seed: int, frozen: FrozenFeatures | None = None
-):
+def stage2_batch_loss(model: Stage2Model, cfg: Config, batch: list[PairedSample], step: int, seed: int, frozen: FrozenFeatures):
     """Two cross-modal forwards per step: masked-token prediction over the
     matched pair, and matching over probabilistically replaced videos.
 
-    `frozen` is the batch's rows of `encode_frozen`, encoded here when None.
-    Only the masked text depends on the step: its forward runs here, off
-    tape. The unmasked text tokens and the video feature maps are read from
-    `frozen`, and `vtm_pairs` swaps feature-map rows as it would swap the
-    patches they were encoded from."""
+    `frozen` is the batch's rows of `encode_frozen`. Only the masked text
+    depends on the step: its forward runs here, off tape. The unmasked text
+    tokens and the video feature maps are read from `frozen`, and
+    `vtm_pairs` swaps feature-map rows as it would swap the patches they
+    were encoded from."""
     lo = cfg.losses
-    if frozen is None:
-        frozen = encode_frozen(model.stage1, batch)
     tokens = np.stack([s.tokens for s in batch])
     masked = mask_tokens(tokens, lo.mask_rate, np.random.default_rng([seed, _MASK_STREAM, step]), cfg.data.vocab_size)
     mixed, labels = vtm_pairs(frozen.feature_map, lo.vtm_replace_prob, np.random.default_rng([seed, _VTM_STREAM, step]))
@@ -430,7 +423,7 @@ def train_stage2(
     first step; each step gathers its batch's rows and runs only the masked
     text forward and the two taped cross forwards."""
     model = build_stage2_model(cfg, cfg.seed, stage1_params)
-    state = TrainState.fresh(model.params(), stage="stage2", seed=cfg.seed, frozen=STAGE2_FROZEN_PREFIXES)
+    state = TrainState.fresh(model.params(), stage="stage2", frozen=STAGE2_FROZEN_PREFIXES)
     frozen = encode_frozen(model.stage1, train_data)
 
     def batch_loss(idx: np.ndarray, step: int):
@@ -442,15 +435,16 @@ def train_stage2(
     return model, state, _train(cfg, state, len(train_data), total_steps, out_dir, batch_loss)
 
 
-def vtm_eval_accuracy(model: Stage2Model, cfg: Config, eval_data: list[PairedSample], seed: int = 9) -> float:
+def vtm_eval_accuracy(model: Stage2Model, cfg: Config, eval_data: list[PairedSample]) -> float:
     """Matching accuracy on held-out pairs at the configured replace rate,
-    over the eval split's whole batches."""
+    over the eval split's whole batches. The replacements are drawn from one
+    fixed stream, the same for every call."""
     B = cfg.train.batch_size
     n = len(eval_data) // B * B
     if n == 0:
         return 0.0
     frozen = encode_frozen(model.stage1, eval_data[:n])
-    rng = np.random.default_rng([seed, _VTM_STREAM, 10**6])
+    rng = np.random.default_rng([9, _VTM_STREAM, 10**6])
     correct = 0
     with no_tape():
         for start in range(0, n, B):
@@ -583,17 +577,13 @@ def gradcheck_config(base: Config) -> Config:
 def gradcheck_stage1(
     cfg: Config,
     seeds: tuple[int, ...] = (0, 1, 2),
-    sample_fraction: float = 0.01,
     max_random_entries: int = 200,
-    rtol: float = 1e-3,
-    atol: float = 1e-6,
-    h: float = 1e-5,
-    head_prefixes: tuple[str, ...] = ("heads.",),
 ) -> GradcheckReport:
     """End-to-end finite differences of the stage-one loss.
 
-    Checks every entry of the loss-head parameters plus a seeded random
-    fraction of everything else, per seed.
+    Checks every entry of the contrastive heads' parameters plus a seeded
+    random 1% of everything else (at most `max_random_entries`), per seed,
+    at `check_gradients`' default step and tolerances.
     """
     report = GradcheckReport(seeds=tuple(seeds), checked=0)
     for seed in seeds:
@@ -608,15 +598,15 @@ def gradcheck_stage1(
             return stage1_batch_loss(model, run_cfg, tokens, pad, patches, step=0, seed=seed)[0]
 
         # every head entry, then a seeded fraction of the rest: {array index: flat indices}
-        picked = {k: list(range(a.size)) for k, a in enumerate(arrays) if paths[k].startswith(tuple(head_prefixes))}
+        picked = {k: list(range(a.size)) for k, a in enumerate(arrays) if paths[k].startswith("heads.")}
         rest = [(k, i) for k, a in enumerate(arrays) if k not in picked for i in range(a.size)]
         rng = np.random.default_rng([seed, _GRADCHECK_STREAM])
-        want = min(max_random_entries, max(1, int(len(rest) * sample_fraction)))
+        want = min(max_random_entries, max(1, int(len(rest) * 0.01)))
         for j in sorted(rng.choice(len(rest), size=min(want, len(rest)), replace=False)):
             k, i = rest[j]
             picked.setdefault(k, []).append(i)
 
-        result = check_gradients(loss, arrays, rtol=rtol, atol=atol, h=h, entries=picked)
+        result = check_gradients(loss, arrays, entries=picked)
         report.failures += [(paths[m.array_index], m) for m in result.mismatches]
         report.checked += result.checked
     return report

@@ -17,7 +17,6 @@ from longvid.objectives import (
     mtc_pair_loss,
     sample_rng,
     select_positive,
-    similarity,
     stage1_loss,
     stage2_loss,
     vtm_loss,
@@ -28,35 +27,6 @@ from longvid.params import linear_init
 def unit_rows(rng, *shape):
     x = rng.normal(size=shape)
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# similarity
-# ---------------------------------------------------------------------------
-
-
-def test_similarity_identical_unit_vectors_at_default_temperature():
-    v = constant(np.array([0.6, 0.8]))
-    assert similarity(v, v, 0.05).item() == pytest.approx(20.0, rel=1e-12)
-
-
-def test_similarity_orthogonal_is_zero():
-    a = constant(np.array([1.0, 0.0]))
-    b = constant(np.array([0.0, 1.0]))
-    assert similarity(a, b, 0.05).item() == pytest.approx(0.0, abs=1e-15)
-
-
-def test_similarity_symmetric():
-    rng = np.random.default_rng(0)
-    a = constant(unit_rows(rng, 8))
-    b = constant(unit_rows(rng, 8))
-    assert similarity(a, b, 0.3).item() == pytest.approx(similarity(b, a, 0.3).item(), rel=1e-15)
-
-
-def test_similarity_rejects_nonpositive_temperature():
-    v = constant(np.ones(2))
-    with pytest.raises(EngineError):
-        similarity(v, v, 0.0)
 
 
 # ---------------------------------------------------------------------------

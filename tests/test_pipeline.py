@@ -261,14 +261,14 @@ def test_stage2_frozen_digest_unchanged(tiny_cfg, tiny_data, stage1_ckpt):
 
 def test_stage2_frozen_parameters_have_zero_gradient(tiny_cfg, tiny_data, stage1_ckpt):
     train, _ = tiny_data
-    from longvid.pipeline import stage2_batch_loss
+    from longvid.pipeline import encode_frozen, stage2_batch_loss
 
     model = build_stage2_model(tiny_cfg, tiny_cfg.seed, stage1_ckpt)
     params = model.params()
     for p in params.values():
         p.zero_grad()
     with Tape() as tape:
-        total, _, _ = stage2_batch_loss(model, tiny_cfg, train[:2], step=0, seed=0)
+        total, _, _ = stage2_batch_loss(model, tiny_cfg, train[:2], step=0, seed=0, frozen=encode_frozen(model.stage1, train[:2]))
         tape.backward(total)
     for path, p in params.items():
         if any(path.startswith(pre) for pre in STAGE2_FROZEN_PREFIXES):
@@ -318,7 +318,7 @@ def test_stage2_matches_four_frozen_forwards_per_step(tiny_cfg, tiny_data, stage
     model, _, rows = train_stage2(tiny_cfg, stage1_ckpt, train, steps=6)
 
     ref = build_stage2_model(tiny_cfg, tiny_cfg.seed, stage1_ckpt)
-    state = TrainState.fresh(ref.params(), "stage2", tiny_cfg.seed, frozen=STAGE2_FROZEN_PREFIXES)
+    state = TrainState.fresh(ref.params(), "stage2", frozen=STAGE2_FROZEN_PREFIXES)
     ref_rows = pipeline._train(
         tiny_cfg, state, len(train), 6, None,
         lambda idx, step: _stage2_reference_loss(ref, tiny_cfg, [train[i] for i in idx], step, tiny_cfg.seed),
@@ -452,7 +452,7 @@ def test_gradcheck_detects_corrupted_backward():
 
 def test_trainstate_trainable_excludes_frozen(tiny_cfg, stage1_ckpt):
     model = build_stage2_model(tiny_cfg, 0, stage1_ckpt)
-    state = TrainState.fresh(model.params(), "stage2", 0, frozen=STAGE2_FROZEN_PREFIXES)
+    state = TrainState.fresh(model.params(), "stage2", frozen=STAGE2_FROZEN_PREFIXES)
     assert all(not p.startswith(STAGE2_FROZEN_PREFIXES) for p in state.trainable_paths)
     assert any(p.startswith("cross.") for p in state.trainable_paths)
     assert any(p.startswith("cross_heads.") for p in state.trainable_paths)
