@@ -71,11 +71,14 @@ def check_gradients(
     atol: float = 1e-6,
     h: float = DEFAULT_STEP,
     entries: dict[int, list[int]] | None = None,
+    numeric_loss=None,
 ) -> GradCheckResult:
     """Compare analytic and central-difference gradients entry by entry.
 
     `entries` maps an array index to the flat indices to check; by default
     every entry of every array that requires a gradient is checked.
+    `numeric_loss(k)` is the loss whose central differences check array k;
+    by default it is `f`. It must compute the same function of array k as f.
     """
     if entries is None:
         entries = {k: range(a.size) for k, a in enumerate(arrays) if a.requires_grad}
@@ -84,7 +87,8 @@ def check_gradients(
     mismatches: list[GradMismatch] = []
     for k, flat in entries.items():
         flat = np.asarray(flat, dtype=np.intp)
-        numeric = numeric_gradient(f, arrays, k, h=h, entries=flat).reshape(-1)[flat]
+        g = f if numeric_loss is None else numeric_loss(k)
+        numeric = numeric_gradient(g, arrays, k, h=h, entries=flat).reshape(-1)[flat]
         exact = analytic[k].reshape(-1)[flat]
         diff = np.abs(exact - numeric)
         max_diff = max(max_diff, float(diff.max(initial=0.0)))

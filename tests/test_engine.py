@@ -231,6 +231,22 @@ def test_numeric_gradient_perturbs_only_the_given_entries():
     assert np.array_equal(x.data, [1.0, 2.0, 3.0])
 
 
+def test_check_gradients_differences_the_per_array_numeric_loss():
+    a, b = parameter(np.array([1.0, -2.0])), parameter(np.array([0.5, 3.0]))
+
+    def f(a, b):
+        return asum(mul(a, b))
+
+    def wrong(a, b):
+        return asum(mul(scale(a, 1.5), b))
+
+    assert check_gradients(f, [a, b], numeric_loss=lambda k: f).ok
+    # array 1 is differenced through a loss that is not f: only its entries mismatch
+    res = check_gradients(f, [a, b], numeric_loss=lambda k: f if k == 0 else wrong)
+    assert not res.ok
+    assert [(m.array_index, m.flat_index) for m in res.mismatches] == [(1, 0), (1, 1)]
+
+
 def test_fanout_accumulates_additively():
     x = parameter(np.array([3.0]))
     with Tape():

@@ -13,7 +13,17 @@ from longvid import pipeline
 from longvid.config import default_config
 from longvid.data import TruncatedFileError, generate, mask_tokens, stack_batch, vtm_pairs
 from longvid.encoders import VideoEncoder
-from longvid.engine import DiffArray, Tape, active_tape, check_gradients, constant, no_tape, parameter, record_op
+from longvid.engine import (
+    DiffArray,
+    Tape,
+    active_tape,
+    check_gradients,
+    constant,
+    no_tape,
+    numeric_gradient,
+    parameter,
+    record_op,
+)
 from longvid.engine import ops as O
 from longvid.objectives import mlm_loss, stage2_loss, vtm_accuracy, vtm_loss
 from longvid.pipeline import (
@@ -448,6 +458,63 @@ def test_gradcheck_detects_corrupted_backward():
     res = check_gradients(lambda x: O.sum(bad_square(x)), [x], rtol=1e-3, atol=1e-6)
     assert not res.ok
     assert len(res.mismatches) == 2
+
+
+def test_gradcheck_owner_rule_differences_the_full_loss_bitwise(monkeypatch, tiny_cfg):
+    seen = {}
+
+    def capture(f, arrays, entries, numeric_loss):
+        seen.update(f=f, arrays=arrays, numeric_loss=numeric_loss)
+        return check_gradients(f, arrays, entries={})
+
+    monkeypatch.setattr(pipeline, "check_gradients", capture)
+    gradcheck_stage1(tiny_cfg, seeds=(0,))
+    paths = list(build_stage1_model(tiny_cfg, 0).params())
+    f, arrays, numeric_loss = seen["f"], seen["arrays"], seen["numeric_loss"]
+    nonzero = set()
+    for k, a in enumerate(arrays):
+        entries = [a.size // 2]
+        owner_rule = numeric_gradient(numeric_loss(k), arrays, k, entries=entries)
+        assert np.array_equal(owner_rule, numeric_gradient(f, arrays, k, entries=entries)), paths[k]
+        if owner_rule.any():
+            nonzero.add(paths[k].split(".")[0])
+    assert nonzero == {"text", "video", "heads"}
+
+
+def test_replayed_encoder_refuses_other_inputs(tiny_cfg, tiny_data):
+    model = build_stage1_model(tiny_cfg, 0)
+    tokens, pad, patches = stack_batch(tiny_data[0][:2])
+    text = pipeline.ReplayedEncoder(model.text, tokens, pad)
+    video = pipeline.ReplayedEncoder(model.video, constant(patches))
+    assert text.forward(tokens, pad) is text.output
+    assert video.forward(constant(patches.copy())) is video.output
+    other = tokens.copy()
+    other[0, 0, 1] += 1
+    for replay, inputs in ((text, (other, pad)), (text, (tokens, ~pad)), (video, (constant(patches + 1.0),)), (video, ())):
+        with pytest.raises(ValueError, match="other than the ones it was built from"):
+            replay.forward(*inputs)
+
+
+@pytest.mark.parametrize(
+    "op, owners", [("l2_normalize", {"heads", "text", "video"}), ("layernorm", {"text", "video"})]
+)
+def test_gradcheck_catches_a_wrong_rule_in_each_owner(monkeypatch, tiny_cfg, op, owners):
+    # The op's recorded backward is scaled by 1.5. l2_normalize runs only in
+    # the heads, so every gradient upstream of them is wrong too; layernorm
+    # runs only inside the encoders, downstream of no head parameter.
+    correct = getattr(O, op)
+
+    def wrong(*args, **kwargs):
+        out = correct(*args, **kwargs)
+        tape = active_tape()
+        if tape is not None and tape.ops and tape.ops[-1].output is out:
+            rule = tape.ops[-1].backward_fn
+            tape.ops[-1].backward_fn = lambda g: tuple(None if d is None else 1.5 * d for d in rule(g))
+        return out
+
+    monkeypatch.setattr(O, op, wrong)
+    report = gradcheck_stage1(tiny_cfg, seeds=(0,), max_random_entries=40)
+    assert {path.split(".")[0] for path, _ in report.failures} == owners
 
 
 def test_trainstate_trainable_excludes_frozen(tiny_cfg, stage1_ckpt):
