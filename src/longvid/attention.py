@@ -15,12 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import params as P
-from .engine import DiffArray, ShapeError
+from .engine import DiffArray
 from .engine import ops as O
 
 
 class ScheduleError(ValueError):
     """Invalid window schedule or window spec."""
+
+
+def check_heads(dim: int, heads: int) -> None:
+    """The head rule: heads split dim evenly."""
+    if heads < 1 or dim % heads:
+        raise ScheduleError(f"dim {dim} not divisible by heads {heads}")
 
 
 @dataclass(frozen=True)
@@ -37,11 +43,11 @@ class WindowSpec:
         return (grid_h, grid_w) if self.spatial is None else self.spatial
 
     def validate(self, t: int, grid_h: int, grid_w: int) -> None:
-        if t % self.temporal:
-            raise ScheduleError(f"temporal window {self.temporal} does not divide T={t}")
         sh, sw = self.resolve_spatial(grid_h, grid_w)
-        if grid_h % sh or grid_w % sw:
-            raise ScheduleError(f"spatial window {(sh, sw)} does not divide grid {(grid_h, grid_w)}")
+        if min(self.temporal, sh, sw) < 1:
+            raise ScheduleError(f"window {(self.temporal, sh, sw)} must be positive")
+        if t % self.temporal or grid_h % sh or grid_w % sw:
+            raise ScheduleError(f"window {(self.temporal, sh, sw)} does not divide (T, H, W) = {(t, grid_h, grid_w)}")
 
 
 @dataclass(frozen=True)
@@ -59,10 +65,25 @@ class StageSpec:
     def __post_init__(self):
         if self.layers < 1 or self.dim < 1 or self.heads < 1:
             raise ScheduleError("stage layers/dim/heads must be positive")
-        if self.dim % self.heads:
-            raise ScheduleError(f"stage dim {self.dim} not divisible by heads {self.heads}")
+        check_heads(self.dim, self.heads)
         if self.temporal_window < 1 or self.merge < 1:
             raise ScheduleError("temporal window and merge factor must be positive")
+
+
+@dataclass(frozen=True)
+class StageLayout:
+    """Where one stage sits in the trunk: its spec and window, the (h, w) grid
+    after its merge, its (t, sh, sw) window shape and the width it receives."""
+
+    stage: StageSpec
+    spec: WindowSpec
+    grid: tuple[int, int]
+    window: tuple[int, int, int]
+    d_in: int
+
+    @property
+    def projects(self) -> bool:  # a linear map precedes the stage
+        return self.stage.merge > 1 or self.d_in != self.stage.dim
 
 
 @dataclass(frozen=True)
@@ -79,23 +100,37 @@ class WindowSchedule:
     def temporal_windows(self) -> tuple[int, ...]:
         return tuple(s.temporal_window for s in self.stages)
 
-    def grid_after(self, stage_index: int, grid: tuple[int, int]) -> tuple[int, int]:
-        """Spatial grid at the output of stage_index (0-based), after merges."""
-        h, w = grid
-        for s in self.stages[: stage_index + 1]:
+    def layout(self, frames: int, grid: tuple[int, int], patch_dim: int) -> tuple[StageLayout, ...]:
+        """The one walk over the stages of a trunk of frames x grid patches of
+        width patch_dim. It checks that each merge and each window divides its
+        grid, and nothing else, so fixed-window cost schedules pass."""
+        (h, w), d_in, out = grid, patch_dim, []
+        for s in self.stages:
             if h % s.merge or w % s.merge:
                 raise ScheduleError(f"merge {s.merge} does not divide grid {(h, w)}")
             h, w = h // s.merge, w // s.merge
-        return h, w
+            spec = WindowSpec(s.temporal_window, s.spatial_window)
+            spec.validate(frames, h, w)
+            out.append(StageLayout(s, spec, (h, w), (s.temporal_window, *spec.resolve_spatial(h, w)), d_in))
+            d_in = s.dim
+        return tuple(out)
 
     def validate(self, frames: int, grid: tuple[int, int]) -> None:
+        """The rules of a trainable trunk: windows grow, the last spans every
+        frame, and the layout holds."""
         windows = self.temporal_windows
         if any(a > b for a, b in zip(windows, windows[1:])):
             raise ScheduleError(f"temporal windows must be non-decreasing, got {windows}")
         if windows[-1] != frames:
             raise ScheduleError(f"last temporal window {windows[-1]} must equal frame count {frames}")
-        for i, s in enumerate(self.stages):
-            WindowSpec(s.temporal_window, s.spatial_window).validate(frames, *self.grid_after(i, grid))
+        self.layout(frames, grid, patch_dim=0)  # the input width checks nothing
+
+    def clip_stage(self, frames_per_clip: int) -> int:
+        """First stage whose temporal window equals the per-clip frame count;
+        its output yields the clip representations."""
+        if frames_per_clip not in self.temporal_windows:
+            raise ScheduleError(f"no stage has temporal_window == frames_per_clip ({frames_per_clip}); clip representations need one")
+        return self.temporal_windows.index(frames_per_clip)
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +187,7 @@ def relative_index_map(window: tuple[int, int, int]) -> np.ndarray:
 def init_attention_params(rng: np.random.Generator, dim: int, heads: int, window: tuple[int, int, int] | None = None) -> dict:
     """Projections for one attention layer, plus a learned relative-position
     bias table when a window shape is given (video layers)."""
-    if dim % heads:
-        raise ShapeError(f"dim {dim} not divisible by heads {heads}")
+    check_heads(dim, heads)
     p = {
         "wq": P.normal(rng, (dim, dim)),
         "bq": P.zeros((dim,)),
@@ -278,8 +312,7 @@ def receptive_field(schedule: WindowSchedule, frame: int, frames: int) -> frozen
     reach = {frame}
     for stage in schedule.stages:
         w = stage.temporal_window
-        if frames % w:
-            raise ScheduleError(f"window {w} does not divide frame count {frames}")
+        WindowSpec(w).validate(frames, 1, 1)
         for _ in range(stage.layers):
             blocks = {f // w for f in reach}
             reach = set()

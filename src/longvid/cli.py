@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .attention import StageSpec, WindowSchedule
@@ -220,9 +221,7 @@ def cmd_analyze_cost(args, cfg: Config):
         if windows is None:
             schedule = base
         elif len(windows) == len(base.stages):
-            schedule = WindowSchedule(
-                tuple(StageSpec(s.layers, s.dim, s.heads, w, s.spatial_window, s.merge) for s, w in zip(base.stages, windows))
-            )
+            schedule = WindowSchedule(tuple(replace(s, temporal_window=w) for s, w in zip(base.stages, windows)))
         else:
             tpl = base.stages[0]
             schedule = WindowSchedule(

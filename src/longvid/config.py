@@ -22,7 +22,7 @@ from pathlib import Path
 
 import yaml
 
-from .attention import ScheduleError, StageSpec, WindowSchedule
+from .attention import ScheduleError, StageSpec, WindowSchedule, check_heads
 
 # Special token ids; content tokens start at NUM_SPECIAL.
 PAD_ID = 0
@@ -219,24 +219,25 @@ def _expect(cond: bool, path: str, reason: str) -> None:
         raise ConfigError(f"{path}: {reason}")
 
 
+def _shape_rule(path: str, check, *args):
+    """check(*args), a shape rule of the attention module, failing under path."""
+    try:
+        return check(*args)
+    except ScheduleError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _check_rules(cfg: Config) -> None:
     """The rules that tie fields together, and the upper bounds of two rates."""
     data, model, losses = cfg.data, cfg.model, cfg.losses
     grid = (data.patch_rows, data.patch_cols)
     _expect(data.min_tokens <= data.max_tokens, "data.min_tokens", "must be <= data.max_tokens")
-    _expect(model.text.dim % model.text.heads == 0, "model.text.dim", f"not divisible by heads {model.text.heads}")
+    _shape_rule("model.text.dim", check_heads, model.text.dim, model.text.heads)
     schedule = model.video.schedule
-    try:
-        schedule.validate(data.frames, grid)
-    except ScheduleError as e:
-        raise ConfigError(f"model.video.stages: {e}") from None
-    _expect(
-        data.frames_per_clip in schedule.temporal_windows,
-        "model.video.stages",
-        f"no stage has temporal_window == frames_per_clip ({data.frames_per_clip}); clip representations need one",
-    )
+    _shape_rule("model.video.stages", schedule.validate, data.frames, grid)
+    layout = schedule.layout(data.frames, grid, data.patch_dim)
     # The clip stage map must survive clip_pool_steps halvings.
-    ch, cw = schedule.grid_after(clip_stage_index(schedule, data.frames_per_clip), grid)
+    ch, cw = layout[_shape_rule("model.video.stages", schedule.clip_stage, data.frames_per_clip)].grid
     div = 2**model.video.clip_pool_steps
     _expect(
         ch % div == 0 and cw % div == 0,
@@ -244,8 +245,8 @@ def _check_rules(cfg: Config) -> None:
         f"{model.video.clip_pool_steps} 2x2 mean-pools need the clip-stage grid {(ch, cw)} divisible by {div}",
     )
     cross = model.cross
-    _expect(cross.dim % cross.heads == 0, "model.cross.dim", f"not divisible by heads {cross.heads}")
-    fh, fw = schedule.grid_after(len(schedule.stages) - 1, grid)
+    _shape_rule("model.cross.dim", check_heads, cross.dim, cross.heads)
+    fh, fw = layout[-1].grid
     _expect(
         cross.pool_window[0] <= fh and cross.pool_window[1] <= fw,
         "model.cross.pool_window",
@@ -330,14 +331,6 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"{path}: unknown key")
         node[keys[-1]] = _parse_yaml(raw, f"override '{item}'")
     return doc
-
-
-def clip_stage_index(schedule: WindowSchedule, frames_per_clip: int) -> int:
-    """First stage whose temporal window equals the per-clip frame count."""
-    for i, s in enumerate(schedule.stages):
-        if s.temporal_window == frames_per_clip:
-            return i
-    raise ConfigError(f"no stage with temporal_window == {frames_per_clip}")
 
 
 def load_config(path: str | Path | None = None, overrides: list[str] | None = None, seed: int | None = None) -> Config:

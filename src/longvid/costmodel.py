@@ -12,9 +12,9 @@ a real trunk forward; that equality is tested, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .attention import WindowSchedule, WindowSpec
+from .attention import WindowSchedule, WindowSpec, check_heads
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,9 @@ def attention_flops(
     (the default) the score+sum total reduces to 2 * T * w * S^2 * d,
     linear in the temporal window.
     """
-    if temporal_window < 1 or frames % temporal_window:
-        raise ValueError(f"temporal window {temporal_window} must divide frame count {frames}")
-    if dim % heads:
-        raise ValueError(f"dim {dim} not divisible by heads {heads}")
     s = spatial_tokens if spatial_window_tokens is None else spatial_window_tokens
-    if spatial_tokens % s:
-        raise ValueError(f"spatial window tokens {s} must divide spatial tokens {spatial_tokens}")
+    WindowSpec(temporal_window, (1, s)).validate(frames, 1, spatial_tokens)  # S tokens as a 1 x S grid
+    check_heads(dim, heads)
     tokens = frames * spatial_tokens
     windows = (frames // temporal_window) * (spatial_tokens // s)
     window_tokens = temporal_window * s
@@ -121,33 +117,26 @@ def schedule_cost(
 ) -> CostReport:
     """Exact trunk cost of a staged encoder: merges + attention + feed-forward.
 
-    Mirrors the encoder implementation: a merge projection exists only when
-    the merge factor exceeds 1 or the width changes; feed-forward is two
-    matmuls of ratio `ffn_ratio`.
+    Reads the encoder's own layout: a merge projection exists only where
+    the layout says the stage projects; feed-forward is two matmuls of ratio
+    `ffn_ratio`.
 
-    Validation here is per-stage divisibility only: hypothetical fixed-window
+    The layout checks per-stage divisibility only: hypothetical fixed-window
     schedules (cost comparisons) need not end at the full frame count the way
     a trainable encoder must.
     """
-    for i, s in enumerate(schedule.stages):
-        WindowSpec(s.temporal_window, s.spatial_window).validate(frames, *schedule.grid_after(i, grid))
-    h, w = grid
-    d_in = patch_dim
     stages: list[StageCost] = []
     peak = 0
-    for i, s in enumerate(schedule.stages):
-        h, w = h // s.merge, w // s.merge
+    for i, st in enumerate(schedule.layout(frames, grid, patch_dim)):
+        s, (h, w), (t, sh, sw) = st.stage, st.grid, st.window
         tokens = frames * h * w
-        merge_mas = 0
-        if s.merge > 1 or d_in != s.dim:
-            merge_mas = tokens * (d_in * s.merge * s.merge) * s.dim
-        sh, sw = s.spatial_window if s.spatial_window is not None else (h, w)
-        per_layer = attention_flops(frames, h * w, s.dim, s.heads, s.temporal_window, sh * sw)
+        merge_mas = tokens * (st.d_in * s.merge * s.merge) * s.dim if st.projects else 0
+        per_layer = attention_flops(frames, h * w, s.dim, s.heads, t, sh * sw)
         ffn = 2 * ffn_ratio * tokens * s.dim * s.dim
         stages.append(
             StageCost(
                 stage=i,
-                temporal_window=s.temporal_window,
+                temporal_window=t,
                 layers=s.layers,
                 tokens=tokens,
                 projections=merge_mas + s.layers * per_layer.projections,
@@ -156,21 +145,18 @@ def schedule_cost(
                 feed_forward=s.layers * ffn,
             )
         )
-        windows = (frames // s.temporal_window) * ((h * w) // (sh * sw))
+        windows = (frames // t) * ((h * w) // (sh * sw))
         peak = max(
             peak,
             tokens * s.dim,
-            windows * s.heads * (s.temporal_window * sh * sw) ** 2,
+            windows * s.heads * (t * sh * sw) ** 2,
             tokens * ffn_ratio * s.dim,
         )
-        d_in = s.dim
     return CostReport(stages=tuple(stages), peak_activation_elems=peak)
 
 
 def fixed_window_schedule(schedule: WindowSchedule, window: int) -> WindowSchedule:
     """Same stages with one temporal window everywhere (cost comparisons)."""
-    from dataclasses import replace
-
     return WindowSchedule(tuple(replace(s, temporal_window=window) for s in schedule.stages))
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import params as P
-from .attention import WindowSpec, init_attention_params, multi_head_attention, windowed_mha
-from .config import CLS_ID, DataConfig, ModelConfig, clip_stage_index
+from .attention import init_attention_params, multi_head_attention, windowed_mha
+from .config import CLS_ID, DataConfig, ModelConfig
 from .engine import DiffArray, ShapeError
 from .engine import ops as O
 
@@ -171,29 +171,23 @@ class VideoEncoder:
         self.clips = data_cfg.clips
         self.grid = (data_cfg.patch_rows, data_cfg.patch_cols)
         self.patch_dim = data_cfg.patch_dim
-        self.clip_stage = clip_stage_index(self.schedule, self.frames_per_clip)
+        self.clip_stage = self.schedule.clip_stage(self.frames_per_clip)
         self.schedule.validate(self.frames, self.grid)
+        self.layout = self.schedule.layout(self.frames, self.grid, self.patch_dim)
 
         stages: dict = {}
-        d_in = self.patch_dim
-        h, w = self.grid
-        for i, s in enumerate(self.schedule.stages):
-            h, w = h // s.merge, w // s.merge
+        for i, st in enumerate(self.layout):
+            s = st.stage
             sp: dict = {}
-            if s.merge > 1 or d_in != s.dim:
-                sp["merge"] = P.linear_init(rng, d_in * s.merge * s.merge, s.dim)
+            if st.projects:
+                sp["merge"] = P.linear_init(rng, st.d_in * s.merge * s.merge, s.dim)
             if i == 0:
                 # Spatial positions are absolute; temporal position enters
                 # only through the per-window relative bias, which keeps the
                 # trunk translation-equivariant across aligned clips.
-                sp["space_emb"] = P.normal(rng, (h * w, s.dim))
-            sh, sw = s.spatial_window if s.spatial_window is not None else (h, w)
-            sp["blocks"] = {
-                str(j): _block_params(rng, s.dim, s.heads, self.ffn_ratio, window=(s.temporal_window, sh, sw))
-                for j in range(s.layers)
-            }
+                sp["space_emb"] = P.normal(rng, (st.grid[0] * st.grid[1], s.dim))
+            sp["blocks"] = {str(j): _block_params(rng, s.dim, s.heads, self.ffn_ratio, window=st.window) for j in range(s.layers)}
             stages[str(i)] = sp
-            d_in = s.dim
         self.params = {"stages": stages, "ln_out": P.layernorm_init(self.schedule.stages[-1].dim)}
 
     def _merge_tokens(self, x: DiffArray, merge: int) -> DiffArray:
@@ -212,20 +206,16 @@ class VideoEncoder:
             )
         x = patches
         maps: list[DiffArray] = []
-        h, w = self.grid
-        for i, s in enumerate(self.schedule.stages):
-            sp = self.params["stages"][str(i)]
+        for i, st in enumerate(self.layout):
+            s, sp = st.stage, self.params["stages"][str(i)]
             if s.merge > 1:
                 x = self._merge_tokens(x, s.merge)
-            h, w = h // s.merge, w // s.merge
             if "merge" in sp:
                 x = P.linear(x, sp["merge"])
             if i == 0:
-                space = O.reshape(sp["space_emb"], (1, 1, h, w, s.dim))
-                x = O.add(x, space)
-            spec = WindowSpec(temporal=s.temporal_window, spatial=s.spatial_window)
+                x = O.add(x, O.reshape(sp["space_emb"], (1, 1, *st.grid, s.dim)))
             for j in range(s.layers):
-                x = _block(x, sp["blocks"][str(j)], lambda h, a: windowed_mha(h, spec, a, s.heads).a)
+                x = _block(x, sp["blocks"][str(j)], lambda h, a: windowed_mha(h, st.spec, a, s.heads).a)
             maps.append(x)
         return maps
 
@@ -263,9 +253,8 @@ class CrossEncoder:
         c = model_cfg.cross
         self.cfg = c
         self.frames = data_cfg.frames
-        fh, fw = model_cfg.video.schedule.grid_after(
-            len(model_cfg.video.schedule.stages) - 1, (data_cfg.patch_rows, data_cfg.patch_cols)
-        )
+        grid = (data_cfg.patch_rows, data_cfg.patch_cols)
+        fh, fw = model_cfg.video.schedule.layout(self.frames, grid, data_cfg.patch_dim)[-1].grid
         ph = (fh - c.pool_window[0]) // c.pool_stride[0] + 1
         pw = (fw - c.pool_window[1]) // c.pool_stride[1] + 1
         self.video_tokens_per_frame = ph * pw
@@ -323,8 +312,7 @@ class ContrastiveHeads:
     def __init__(self, model_cfg: ModelConfig, data_cfg: DataConfig, rng: np.random.Generator):
         dc = model_cfg.contrastive_dim
         d_text = model_cfg.text.dim
-        clip_stage = clip_stage_index(model_cfg.video.schedule, data_cfg.frames_per_clip)
-        d_clip = model_cfg.video.schedule.stages[clip_stage].dim
+        d_clip = model_cfg.video.schedule.stages[model_cfg.video.schedule.clip_stage(data_cfg.frames_per_clip)].dim
         d_video = model_cfg.video.schedule.stages[-1].dim
         self.params = {
             "text": P.linear_init(rng, d_text, dc),

@@ -17,6 +17,8 @@ from longvid.attention import (
     window_partition,
     windowed_mha,
 )
+from longvid.cli import EXIT_CONFIG, main
+from longvid.costmodel import attention_flops
 from longvid.engine import Tape, backward, check_gradients, constant, parameter
 from longvid.engine import ops as O
 
@@ -380,3 +382,38 @@ def test_schedule_rejects_non_dividing_window():
 def test_stage_rejects_bad_dims():
     with pytest.raises(ScheduleError):
         StageSpec(layers=1, dim=7, heads=2, temporal_window=2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: WindowSpec(0).validate(8, 1, 1),
+        lambda: WindowSpec(2, (0, 1)).validate(8, 2, 2),
+        lambda: window_partition(constant(np.zeros((1, 8, 2, 2, 3))), WindowSpec(2, (0, 2))),
+        lambda: attention_flops(8, 4, 16, 2, 2, 0),
+        lambda: attention_flops(8, 4, 16, 2, 0),
+    ],
+    ids=["temporal", "spatial", "partition", "flops-spatial", "flops-temporal"],
+)
+def test_window_below_one_is_a_schedule_error(call):
+    with pytest.raises(ScheduleError, match="must be positive"):
+        call()
+
+
+HEAD_RULE_CALLS = {
+    "StageSpec": lambda: StageSpec(1, 7, 2, 2),
+    "init_attention_params": lambda: init_attention_params(np.random.default_rng(0), 7, 2),
+    "attention_flops": lambda: attention_flops(8, 4, 7, 2, 2),
+}
+
+
+@pytest.mark.parametrize("entry", [*HEAD_RULE_CALLS, "model.text.dim", "model.cross.dim"])
+def test_head_rule_has_one_message(entry, capsys, tmp_path, monkeypatch):
+    if entry in HEAD_RULE_CALLS:
+        with pytest.raises(ScheduleError) as e:
+            HEAD_RULE_CALLS[entry]()
+        assert str(e.value) == "dim 7 not divisible by heads 2"
+    else:
+        monkeypatch.chdir(tmp_path)
+        assert main(["train-stage1", "--dry-run", "--set", f"{entry}=30"]) == EXIT_CONFIG
+        assert f"{entry}: dim 30 not divisible by heads 4" in capsys.readouterr().err

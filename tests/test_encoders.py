@@ -240,7 +240,11 @@ def test_paper_shaped_config_passes_shape_checks():
     cfg = build_config(doc)
     sched = cfg.model.video.schedule
     assert sched.temporal_windows == (2, 4, 8, 16, 32)
-    assert sched.grid_after(len(sched.stages) - 1, (24, 40)) == (3, 5)
+    layout = sched.layout(32, (24, 40), 192)
+    assert [st.grid for st in layout] == [(24, 40), (12, 20), (6, 10), (6, 10), (3, 5)]
+    assert [st.projects for st in layout] == [True, True, True, False, True]
+    assert [st.window for st in layout] == [(w, 3, 5) for w in sched.temporal_windows]
+    assert layout[-1].grid == (3, 5)
     assert [s.dim for s in sched.stages] == [128, 256, 512, 512, 1024]
 
 
