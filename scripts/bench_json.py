@@ -7,9 +7,11 @@ Reads the `<workload>-seed<n>-trace<t>.json` files that perfbench/run.py
 writes in each directory. For every workload it pairs the parent's and the
 change's untraced runs by seed and reports, per end-to-end metric, both
 medians, the median of the per-seed change/parent ratios and the number of
-seeds on which the change is better. Traced runs give the per-layer values
-of both sides. Machine info (cores, Python, numpy and its BLAS) is that of
-the process running this script, which should be the machine the runs ran on.
+seeds on which the change is better. Traced runs, paired by seed the same
+way, give the per-layer values of both sides per seed, and a `summary` over
+all traced pairs: per metric both medians, the median ratio and the pair
+count. Machine info (cores, Python, numpy and its BLAS) is that of the
+process running this script, which should be the machine the runs ran on.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import platform
 import re
 import statistics
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +55,18 @@ def machine() -> dict:
     }
 
 
+def medians(p: Sequence[float], c: Sequence[float]) -> dict:
+    """Both sides' medians of paired values, the median change/parent ratio
+    (None when every parent value is 0) and the number of pairs."""
+    ratios = [b / a for a, b in zip(p, c) if a]
+    return {
+        "parent_median": statistics.median(p),
+        "change_median": statistics.median(c),
+        "median_ratio": statistics.median(ratios) if ratios else None,
+        "pairs": len(p),
+    }
+
+
 def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
     """Untraced runs of one workload, paired by seed."""
     seeds = sorted(set(parent) & set(change))
@@ -66,22 +81,37 @@ def compare(parent: dict, change: dict, better: dict[str, str]) -> dict:
         sign = 1 if better[name] == "higher" else -1
         q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (p[0], p[0], p[0])
         summary[name] = {
-            "parent_median": statistics.median(p),
+            **medians(p, c),
             "parent_iqr": q3 - q1,
-            "change_median": statistics.median(c),
-            "median_ratio": statistics.median(b / a for a, b in zip(p, c) if a),
             "change_better": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
-            "pairs": len(p),
         }
     return {"pairs": pairs, "summary": summary}
 
 
-def main() -> int:
+def per_layer(parent: dict, change: dict) -> dict:
+    """Traced runs of one workload, paired by seed: each seed's values and
+    a summary over the seeds."""
+    seeds = sorted(set(parent) & set(change))
+    if not seeds:
+        return {}
+    doc = {
+        f"seed{s}": {name: {"parent": value, "change": change[s].get(name)} for name, value in parent[s].items()}
+        for s in seeds
+    }
+    doc["summary"] = {}
+    for name in dict.fromkeys(name for s in seeds for name in parent[s]):
+        both = [(parent[s][name], change[s][name]) for s in seeds if name in parent[s] and change[s].get(name) is not None]
+        if both:
+            doc["summary"][name] = medians(*zip(*both))
+    return doc
+
+
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True, help="results directory of the parent's runs")
     ap.add_argument("--change", type=Path, default=ROOT / "perfbench" / "results", help="results directory of the change's runs")
     ap.add_argument("--out", type=Path, required=True)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -92,10 +122,8 @@ def main() -> int:
         if untraced[0] and untraced[1]:
             doc["end_to_end"][w] = compare(*untraced, better)
         traced = [{s: values(r) for (wl, s, t), r in side.items() if wl == w and t == 1} for side in (parent, change)]
-        for s in sorted(set(traced[0]) & set(traced[1])):
-            doc["per_layer"].setdefault(w, {})[f"seed{s}"] = {
-                name: {"parent": traced[0][s][name], "change": traced[1][s].get(name)} for name in traced[0][s]
-            }
+        if layers := per_layer(*traced):
+            doc["per_layer"][w] = layers
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -224,8 +224,8 @@ def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | np.ndarray | None)
     """The one attention core: project q, k and v from x (..., n, dim), run
     one attention op over the heads and project back. bias is the op's one
     additive input: a learned DiffArray, a constant mask or None."""
-    q, k, v = (O.add(O.matmul(x, p["w" + name]), p["b" + name]) for name in "qkv")
-    return O.add(O.matmul(O.attention(q, k, v, heads, bias), p["wo"]), p["bo"])
+    q, k, v = (P.linear(x, p, name) for name in "qkv")
+    return P.linear(O.attention(q, k, v, heads, bias), p, "o")
 
 
 def _window_bias(p: dict, spec: WindowSpec, h: int, w: int) -> DiffArray | None:

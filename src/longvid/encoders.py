@@ -43,11 +43,15 @@ def _block_params(rng: np.random.Generator, dim: int, heads: int, ffn_ratio: int
 
 
 def _block(x: DiffArray, p: dict, attend) -> DiffArray:
-    """Pre-norm transformer block; attend(h, attn_params) is its attention."""
+    """Pre-norm transformer block; attend(h, attn_params) is its attention.
+    Each residual sum goes into its branch's output, a buffer the branch
+    allocated, when nothing records."""
     h = O.layernorm(x, p["ln1"]["g"], p["ln1"]["b"])
-    x = O.add(x, attend(h, p["attn"]))
+    a = attend(h, p["attn"])
+    x = O.add(x, a, out=a)
     h = O.layernorm(x, p["ln2"]["g"], p["ln2"]["b"])
-    return O.add(x, _ffn(h, p))
+    f = _ffn(h, p)
+    return O.add(x, f, out=f)
 
 
 def _key_mask_to_additive(allowed: np.ndarray) -> np.ndarray:

@@ -7,6 +7,13 @@ backward rule. Gradients accumulate additively across fan-out.
 Integer inputs (token ids, gather indices) are plain numpy arrays, never
 DiffArrays, and additive masks enter attention as constants; no gradient
 flows through either.
+
+When nothing records, the forward builds no full-size temporary: `gelu`,
+`layernorm` and `attention` write into one output they allocate and walk it
+in pieces of about CHUNK elements, `add(..., out=)` writes into an operand
+its caller owns, and `reshape` returns a view. Each piece applies the same
+elementwise operations to the same operands in the same order, and reduces
+whole rows, so the results are bitwise those of the recording path.
 """
 
 from __future__ import annotations
@@ -15,10 +22,14 @@ import math
 
 import numpy as np
 
-from .array import DiffArray, ShapeError, active_tape, no_tape
+from .array import DiffArray, ShapeError, active_tape
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+
+# Elements per piece of an untaped elementwise chain: 256 KiB of float64,
+# small enough to stay in a core's L2 cache.
+CHUNK = 32 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -33,13 +44,25 @@ def as_diff(x) -> DiffArray:
     return DiffArray(np.asarray(x, dtype=np.float64))
 
 
+def _records(inputs) -> bool:
+    """Whether an op on these inputs goes on the tape: one is active and some
+    input needs a gradient."""
+    return active_tape() is not None and any(i.requires_grad for i in inputs)
+
+
 def record_op(output: DiffArray, inputs, backward_fn) -> DiffArray:
     """Record a custom op on the active tape (also the extension point used
     by tests to exercise the gradient-check harness with a wrong rule)."""
-    tape = active_tape()
-    if tape is not None and any(i.requires_grad for i in inputs):
-        tape.record(inputs, output, backward_fn)
+    if _records(inputs):
+        active_tape().record(inputs, output, backward_fn)
     return output
+
+
+def _pieces(rows: int, width: int) -> list[slice]:
+    """Slices over `rows` rows of `width` elements, whole rows each, of
+    about CHUNK elements (one row when a row is wider)."""
+    step = max(1, CHUNK // max(1, width))
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -95,8 +118,13 @@ def _tally_matmul(out_shape: tuple[int, ...], inner: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> DiffArray:
+def add(a, b, out: DiffArray | None = None) -> DiffArray:
+    """a + b. out, if given, is a or b, a result its caller's own op just
+    allocated: when nothing records, the sum is written into it."""
     a, b = as_diff(a), as_diff(b)
+    if out is not None and not _records((a, b)):
+        np.add(a.data, b.data, out=out.data)
+        return out
     out = DiffArray(a.data + b.data)
 
     def bwd(g):
@@ -176,7 +204,10 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
 
 
 def reshape(a: DiffArray, shape) -> DiffArray:
+    """A copy on the tape; a view of a's buffer when nothing records."""
     shape = tuple(int(s) for s in shape)
+    if not _records((a,)):
+        return DiffArray(a.data.reshape(shape))
     out = DiffArray(a.data.reshape(shape).copy())
 
     def bwd(g):
@@ -284,10 +315,13 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     lifted by `as_diff`. Both products go through `matmul` off the tape, so
     they are counted like any other. The forward works in place on one scores
     buffer; the backward keeps the per-head q, kᵀ and v and the
-    probabilities, and recomputes nothing.
+    probabilities, and recomputes nothing. When nothing records, the forward
+    walks the flattened leading axes in pieces of about CHUNK elements of q
+    or of the scores, and writes each piece's context into one output; a
+    bias with leading dims is sliced with its piece (3-d q only).
     """
     dim = q.shape[-1]
-    if dim % heads:
+    if heads < 1 or dim % heads:
         raise ShapeError(f"dim {dim} not divisible by heads {heads}")
     dh = dim // heads
     s = 1.0 / math.sqrt(dh)
@@ -302,19 +336,37 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
         x = np.ascontiguousarray(np.moveaxis(x, n_axis, -3))
         return x.reshape(*x.shape[:-2], dim)
 
-    if bias is not None:
-        bias = as_diff(bias)
-    inputs = (q, k, v) if bias is None else (q, k, v, bias)
-    qh, kt, vh = heads_of(q.data), heads_of(k.data, -1), heads_of(v.data)
-    with no_tape():
+    def probs_of(q: np.ndarray, k: np.ndarray, bias: np.ndarray | None):
+        """The per-head q and kᵀ of (..., n, dim) q and k, and the softmax
+        probabilities, made in place in the scores buffer."""
+        qh, kt = heads_of(q), heads_of(k, -1)
         probs = matmul(DiffArray(qh), DiffArray(kt)).data
         probs *= s
         if bias is not None:
-            probs += bias.data
+            probs += bias
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        out = DiffArray(joined(matmul(DiffArray(probs), DiffArray(vh)).data))
+        return qh, kt, probs
+
+    if bias is not None:
+        bias = as_diff(bias)
+    inputs = (q, k, v) if bias is None else (q, k, v, bias)
+    b = None if bias is None else bias.data
+    if not _records(inputs) and (b is None or b.ndim <= 3 or (q.ndim == 3 and b.ndim == 4)):
+        rows, n = math.prod(q.shape[:-2]), q.shape[-2]
+        qs, ks, vs = (x.data.reshape(rows, n, dim) for x in (q, k, v))
+        out = np.empty(qs.shape)
+        sliced = b is not None and b.ndim == 4 and len(b) > 1
+        for p in _pieces(rows, n * max(dim, heads * n)):
+            _, _, probs = probs_of(qs[p], ks[p], b[p] if sliced else b)
+            context = matmul(DiffArray(probs), DiffArray(heads_of(vs[p]))).data
+            out[p].reshape(len(context), n, heads, dh)[...] = np.moveaxis(context, -3, -2)
+        return DiffArray(out.reshape(q.shape))
+
+    qh, kt, probs = probs_of(q.data, k.data, b)
+    vh = heads_of(v.data)
+    out = DiffArray(joined(matmul(DiffArray(probs), DiffArray(vh)).data))
 
     def bwd(g):
         g = heads_of(g)
@@ -333,6 +385,8 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
 def gelu(x: DiffArray) -> DiffArray:
     """tanh-form GELU."""
     xd = x.data
+    if not _records((x,)):
+        return DiffArray(_gelu_untaped(xd))
     x2 = xd * xd
     t = np.tanh(_SQRT_2_OVER_PI * (xd + _GELU_C * x2 * xd))
     out = DiffArray(0.5 * xd * (1.0 + t))
@@ -344,6 +398,26 @@ def gelu(x: DiffArray) -> DiffArray:
     return record_op(out, (x,), bwd)
 
 
+def _gelu_untaped(xd: np.ndarray) -> np.ndarray:
+    """gelu's forward, piece by piece into one new array."""
+    out = np.empty_like(xd)
+    flat, oflat = xd.reshape(-1), out.reshape(-1)
+    scratch = np.empty(min(flat.size, CHUNK))
+    for s in _pieces(flat.size, 1):
+        x, o = flat[s], oflat[s]
+        t = scratch[: x.size]
+        np.multiply(x, x, out=t)
+        t *= _GELU_C
+        t *= x
+        t += x
+        t *= _SQRT_2_OVER_PI
+        np.tanh(t, out=t)
+        t += 1.0
+        np.multiply(x, 0.5, out=o)
+        o *= t
+    return out
+
+
 def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12) -> DiffArray:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
@@ -353,7 +427,8 @@ def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12
     if eps <= 0:
         raise ShapeError("layernorm eps must be > 0")
     gain, bias = as_diff(gain), as_diff(bias)
-    d = x.shape[-1]
+    if not _records((x, gain, bias)):
+        return DiffArray(_layernorm_untaped(x.data, gain.data, bias.data, eps))
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -374,6 +449,29 @@ def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12
         return dx, dgain.reshape(gain.data.shape), dbias.reshape(bias.data.shape)
 
     return record_op(out, (x, gain, bias), bwd)
+
+
+def _layernorm_untaped(xd: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
+    """layernorm's forward, whole rows at a time, into one new array."""
+    d = xd.shape[-1]
+    rows, out = xd.reshape(-1, d), np.empty_like(xd)
+    orows = out.reshape(-1, d)
+    gain, bias = gain.reshape(-1), bias.reshape(-1)
+    pieces = _pieces(len(rows), d)
+    scratch = np.empty_like(rows[pieces[0]]) if pieces else None
+    for s in pieces:
+        x, o = rows[s], orows[s]
+        sq = scratch[: len(x)]
+        np.subtract(x, x.mean(axis=-1, keepdims=True), out=o)
+        np.multiply(o, o, out=sq)
+        inv = sq.mean(axis=-1, keepdims=True)
+        inv += eps
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        o *= inv
+        o *= gain
+        o += bias
+    return out
 
 
 def l2_normalize(x: DiffArray, eps: float = 1e-24) -> DiffArray:

@@ -30,9 +30,12 @@ def linear_init(rng: np.random.Generator, d_in: int, d_out: int) -> dict:
     return {"w": normal(rng, (d_in, d_out)), "b": zeros((d_out,))}
 
 
-def linear(x: DiffArray, p: dict) -> DiffArray:
-    """Apply a {w, b} layer made by linear_init."""
-    return O.add(O.matmul(x, p["w"]), p["b"])
+def linear(x: DiffArray, p: dict, name: str = "") -> DiffArray:
+    """Apply the layer of weight p["w" + name] and bias p["b" + name], as
+    linear_init makes it; the bias is added into the product's own buffer
+    when nothing records."""
+    y = O.matmul(x, p["w" + name])
+    return O.add(y, p["b" + name], out=y)
 
 
 def layernorm_init(dim: int) -> dict:

@@ -1,6 +1,8 @@
 """Encoder contracts: sentence-local masking, clip/video representation
 extraction, cross-modal joining, and the paper-shaped smoke test."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,8 @@ from longvid.encoders import (
     VideoEncoder,
     encode_pair,
 )
-from longvid.engine import ShapeError, constant, no_tape
+from longvid.engine import ShapeError, Tape, constant, no_tape
+from longvid.params import flatten_params
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +231,53 @@ def test_all_projected_reps_unit_norm(toy):
     for reps in (pair.sentence_reps, pair.paragraph_rep, pair.clip_reps, pair.video_rep):
         norms = np.linalg.norm(reps.data, axis=-1)
         assert np.abs(norms - 1.0).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the untaped forward writes only into buffers it allocated
+# ---------------------------------------------------------------------------
+
+UNTAPED_CONFIGS = {
+    "default": {},
+    # One stage whose window spans every frame and the whole grid: the window
+    # transposes are no-ops, so partition and merge return views.
+    "one-full-window": {
+        "data": {"clips": 1},
+        "model": {"video": {"stages": [{"layers": 2, "dim": 32, "heads": 4, "temporal_window": 8}]}},
+        "losses": {"anchor_count": 1, "candidate_count": 1},
+    },
+}
+
+
+@pytest.mark.parametrize("overlay", UNTAPED_CONFIGS.values(), ids=UNTAPED_CONFIGS)
+def test_untaped_forward_is_the_taped_one_and_keeps_its_inputs(overlay):
+    cfg = build_config(merge_config_dict(overlay))
+    rng = np.random.default_rng(7)
+    text, video, cross = (E(cfg.model, cfg.data, rng) for E in (TextEncoder, VideoEncoder, CrossEncoder))
+    ids, pad = make_tokens(cfg, rng)
+    patches = make_patches(cfg, rng)
+    params = [p.data for enc in (text, video, cross) for p in flatten_params(enc.params).values()]
+
+    def digests(arrays):
+        return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+    def forward():
+        tout = text.forward(ids, pad)
+        vout = video.forward(constant(patches))
+        cross_inputs = [tout.tokens.data, tout.key_mask, vout.feature_map.data]
+        before = digests(cross_inputs)
+        out = cross.forward(tout.tokens, tout.key_mask, vout.feature_map)
+        assert digests(cross_inputs) == before
+        outs = (tout.sentence_feats, tout.paragraph_feat, tout.tokens, vout.clip_feats, vout.video_feat, vout.feature_map, out.tokens, out.cls_feat)
+        return [o.data.tobytes() for o in outs]
+
+    with Tape():
+        taped = forward()
+    before = digests([*params, ids, pad, patches])
+    with no_tape():
+        untaped = forward()
+    assert untaped == taped
+    assert digests([*params, ids, pad, patches]) == before
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from longvid.engine import (
     ShapeError,
     Tape,
     add,
+    attention,
     backward,
     check_gradients,
     concat,
@@ -31,6 +32,7 @@ from longvid.engine import (
     take,
     transpose,
 )
+from longvid.engine.ops import CHUNK
 
 SEEDS = range(10)
 
@@ -489,3 +491,71 @@ def test_diffarray_invariants():
     assert x.grad is None
     x._accumulate(np.ones((2, 3)))
     assert x.grad.shape == x.data.shape
+
+
+# ---------------------------------------------------------------------------
+# the untaped forward: bitwise the recorded op, at piece boundaries
+# ---------------------------------------------------------------------------
+
+
+def assert_untaped_equals_taped(op, *arrays):
+    """op on the arrays as parameters under a tape, and as constants with no
+    tape: the same bytes, the same multiply-adds, and the inputs untouched."""
+    before = [a.tobytes() for a in arrays]
+    with count_multiply_adds() as taped_count, Tape() as tape:
+        taped = op(*(parameter(a) for a in arrays))
+    assert len(tape) == 1
+    with count_multiply_adds() as untaped_count:
+        untaped = op(*(constant(a) for a in arrays))
+    assert untaped.data.tobytes() == taped.data.tobytes()
+    assert untaped_count.multiply_adds == taped_count.multiply_adds
+    assert [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.parametrize("shape", [(7, 300), (CHUNK,), (CHUNK // 64, 64), (CHUNK + 1,), (3, CHUNK // 3 + 5)])
+def test_untaped_gelu_is_bitwise_the_taped_op(shape):
+    x = np.random.default_rng(0).normal(scale=3.0, size=shape)
+    assert_untaped_equals_taped(gelu, x)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(5, 16), (CHUNK // 64, 64), (CHUNK // 3 + 1, 3), (2, CHUNK // 96 + 1, 48), (3, CHUNK + 1)],
+    ids=["below", "one-chunk", "chunk-plus-a-row", "3-d", "rows-wider-than-a-chunk"],
+)
+def test_untaped_layernorm_is_bitwise_the_taped_op(shape):
+    rng = np.random.default_rng(1)
+    d = shape[-1]
+    x = rng.normal(loc=2.0, size=shape)
+    assert_untaped_equals_taped(layernorm, x, rng.normal(size=d), rng.normal(size=d))
+
+
+@pytest.mark.parametrize(
+    "qshape, bias_shape, learned",
+    [
+        ((2, 700, 4, 8), (2, 4, 4), True),  # 1,400 windows of 4 tokens: two pieces
+        ((150, 16, 8), (150, 1, 1, 16), False),  # 150 rows of 16 tokens: three pieces
+        ((150, 16, 8), (150, 1, 16, 16), False),
+        ((150, 16, 8), (1, 1, 16, 16), False),
+        ((3, 5, 8), None, False),
+    ],
+)
+def test_untaped_attention_is_bitwise_the_taped_op(qshape, bias_shape, learned):
+    rng = np.random.default_rng(2)
+    qkv = [rng.normal(size=qshape) for _ in range(3)]
+    if learned:
+        assert_untaped_equals_taped(lambda q, k, v, b: attention(q, k, v, 2, b), *qkv, rng.normal(size=bias_shape))
+        return
+    mask = None
+    if bias_shape is not None:
+        mask = np.where(rng.random(bias_shape) < 0.3, -1e9, 0.0)
+        mask[..., 0] = 0.0  # every query keeps one key
+    assert_untaped_equals_taped(lambda q, k, v: attention(q, k, v, 2, mask), *qkv)
+
+
+@pytest.mark.parametrize("heads", [0, -2])
+def test_attention_rejects_a_head_count_below_one(heads):
+    q = constant(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError) as e:
+        attention(q, q, q, heads)
+    assert str(e.value) == f"dim 4 not divisible by heads {heads}"
