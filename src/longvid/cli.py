@@ -133,6 +133,8 @@ def cmd_gen_data(args, cfg: Config):
 
 
 def cmd_train_stage1(args, cfg: Config):
+    if cfg.losses.mtc_weight > 0 and cfg.data.clips < 2:
+        raise ConfigError(f"losses.mtc_weight: MTC needs data.clips >= 2, got {cfg.data.clips}; set losses.mtc_weight=0 for one clip")
     out = _out_dir(args, cfg)
 
     def run() -> int:

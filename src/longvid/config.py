@@ -123,7 +123,7 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    batch_size: int = _f(8, min=1)
+    batch_size: int = _f(8, min=2)  # in-batch negatives need a second pair
     stage1_steps: int = _f(2000, min=1)
     stage2_steps: int = _f(1000, min=1)
     learning_rate: float = _f(1e-3, positive=True)

@@ -45,7 +45,7 @@ def _block_params(rng: np.random.Generator, dim: int, heads: int, ffn_ratio: int
 def _block(x: DiffArray, p: dict, attend) -> DiffArray:
     """Pre-norm transformer block; attend(h, attn_params) is its attention.
     Each residual sum goes into its branch's output, a buffer the branch
-    allocated, when nothing records."""
+    allocated and no recorded backward reads."""
     h = O.layernorm(x, p["ln1"]["g"], p["ln1"]["b"])
     a = attend(h, p["attn"])
     x = O.add(x, a, out=a)

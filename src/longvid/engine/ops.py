@@ -8,12 +8,13 @@ Integer inputs (token ids, gather indices) are plain numpy arrays, never
 DiffArrays, and additive masks enter attention as constants; no gradient
 flows through either.
 
-When nothing records, the forward builds no full-size temporary: `gelu`,
-`layernorm` and `attention` write into one output they allocate and walk it
-in pieces of about CHUNK elements, `add(..., out=)` writes into an operand
-its caller owns, and `reshape` returns a view. Each piece applies the same
-elementwise operations to the same operands in the same order, and reduces
-whole rows, so the results are bitwise those of the recording path.
+Each op has one forward, taped or not, and builds no full-size temporary:
+`gelu`, `layernorm` and `attention` write into one output they allocate and
+walk it in pieces of about CHUNK elements, `add(..., out=)` writes into an
+operand its caller owns, and `reshape` returns a view. A backward keeps
+only what is costly to remake: `gelu` and `layernorm` recompute their
+elementwise values from the input, with the same operations on the same
+operands in the same order, so the gradients are those of kept values.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .array import DiffArray, ShapeError, active_tape
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 
-# Elements per piece of an untaped elementwise chain: 256 KiB of float64,
+# Elements per piece of an elementwise chain: 256 KiB of float64,
 # small enough to stay in a core's L2 cache.
 CHUNK = 32 * 1024
 
@@ -120,12 +121,13 @@ def _tally_matmul(out_shape: tuple[int, ...], inner: int) -> None:
 
 def add(a, b, out: DiffArray | None = None) -> DiffArray:
     """a + b. out, if given, is a or b, a result its caller's own op just
-    allocated: when nothing records, the sum is written into it."""
+    allocated and that no recorded backward reads; the sum is written into
+    its buffer and returned as a new array."""
     a, b = as_diff(a), as_diff(b)
-    if out is not None and not _records((a, b)):
-        np.add(a.data, b.data, out=out.data)
-        return out
-    out = DiffArray(a.data + b.data)
+    if out is None:
+        out = DiffArray(a.data + b.data)
+    else:
+        out = DiffArray(np.add(a.data, b.data, out=out.data))
 
     def bwd(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
@@ -204,11 +206,9 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
 
 
 def reshape(a: DiffArray, shape) -> DiffArray:
-    """A copy on the tape; a view of a's buffer when nothing records."""
+    """A view of a's buffer."""
     shape = tuple(int(s) for s in shape)
-    if not _records((a,)):
-        return DiffArray(a.data.reshape(shape))
-    out = DiffArray(a.data.reshape(shape).copy())
+    out = DiffArray(a.data.reshape(shape))
 
     def bwd(g):
         return (g.reshape(a.data.shape),)
@@ -313,12 +313,14 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     heads are joined back to (..., n, dim). bias, broadcastable to the
     (..., heads, n, n) scores, is a learned DiffArray or a constant mask,
     lifted by `as_diff`. Both products go through `matmul` off the tape, so
-    they are counted like any other. The forward works in place on one scores
-    buffer; the backward keeps the per-head q, kᵀ and v and the
-    probabilities, and recomputes nothing. When nothing records, the forward
-    walks the flattened leading axes in pieces of about CHUNK elements of q
-    or of the scores, and writes each piece's context into one output; a
-    bias with leading dims is sliced with its piece (3-d q only).
+    they are counted like any other. The forward walks the flattened leading
+    axes in pieces of about CHUNK elements of q or of the scores, works in
+    place on each piece's scores buffer and writes each piece's context into
+    one output; a bias with leading dims is sliced with its piece (3-d q
+    only). It runs one piece over the whole leading shape when a tape
+    records, whose backward keeps that piece's per-head q, kᵀ and v and its
+    probabilities and recomputes nothing, or when the bias has leading dims
+    it cannot be sliced by.
     """
     dim = q.shape[-1]
     if heads < 1 or dim % heads:
@@ -336,38 +338,33 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
         x = np.ascontiguousarray(np.moveaxis(x, n_axis, -3))
         return x.reshape(*x.shape[:-2], dim)
 
-    def probs_of(q: np.ndarray, k: np.ndarray, bias: np.ndarray | None):
-        """The per-head q and kᵀ of (..., n, dim) q and k, and the softmax
-        probabilities, made in place in the scores buffer."""
-        qh, kt = heads_of(q), heads_of(k, -1)
-        probs = matmul(DiffArray(qh), DiffArray(kt)).data
-        probs *= s
-        if bias is not None:
-            probs += bias
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return qh, kt, probs
-
     if bias is not None:
         bias = as_diff(bias)
     inputs = (q, k, v) if bias is None else (q, k, v, bias)
     b = None if bias is None else bias.data
+    n = q.shape[-2]
+    out = np.empty(q.shape)
+    views = (q.data, k.data, v.data, out)
+    pieces, sliced = [...], False  # one piece over the whole leading shape
     if not _records(inputs) and (b is None or b.ndim <= 3 or (q.ndim == 3 and b.ndim == 4)):
-        rows, n = math.prod(q.shape[:-2]), q.shape[-2]
-        qs, ks, vs = (x.data.reshape(rows, n, dim) for x in (q, k, v))
-        out = np.empty(qs.shape)
-        sliced = b is not None and b.ndim == 4 and len(b) > 1
-        for p in _pieces(rows, n * max(dim, heads * n)):
-            _, _, probs = probs_of(qs[p], ks[p], b[p] if sliced else b)
-            context = matmul(DiffArray(probs), DiffArray(heads_of(vs[p]))).data
-            out[p].reshape(len(context), n, heads, dh)[...] = np.moveaxis(context, -3, -2)
-        return DiffArray(out.reshape(q.shape))
+        rows = math.prod(q.shape[:-2])
+        views = tuple(x.reshape(rows, n, dim) for x in views)
+        pieces, sliced = _pieces(rows, n * max(dim, heads * n)), b is not None and b.ndim == 4 and len(b) > 1
+    qs, ks, vs, outs = views
+    for p in pieces:
+        qh, kt = heads_of(qs[p]), heads_of(ks[p], -1)
+        probs = matmul(DiffArray(qh), DiffArray(kt)).data
+        probs *= s
+        if b is not None:
+            probs += b[p] if sliced else b
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        vh = heads_of(vs[p])
+        context = matmul(DiffArray(probs), DiffArray(vh)).data
+        outs[p].reshape(*context.shape[:-3], n, heads, dh)[...] = np.moveaxis(context, -3, -2)
 
-    qh, kt, probs = probs_of(q.data, k.data, b)
-    vh = heads_of(v.data)
-    out = DiffArray(joined(matmul(DiffArray(probs), DiffArray(vh)).data))
-
+    # recorded only after the one whole piece, whose qh, kt, vh and probs it reads
     def bwd(g):
         g = heads_of(g)
         gp = np.matmul(g, np.swapaxes(vh, -1, -2))
@@ -379,64 +376,74 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
         gk = joined(np.matmul(np.swapaxes(qh, -1, -2), gp), -1) if k.requires_grad else None
         return (gq, gk, gv, gbias)[: len(inputs)]
 
-    return record_op(out, inputs, bwd)
+    return record_op(DiffArray(out), inputs, bwd)
 
 
 def gelu(x: DiffArray) -> DiffArray:
-    """tanh-form GELU."""
+    """tanh-form GELU, piece by piece into one new array; the backward
+    recomputes x² and the tanh from x."""
     xd = x.data
-    if not _records((x,)):
-        return DiffArray(_gelu_untaped(xd))
-    x2 = xd * xd
-    t = np.tanh(_SQRT_2_OVER_PI * (xd + _GELU_C * x2 * xd))
-    out = DiffArray(0.5 * xd * (1.0 + t))
-
-    def bwd(g):
-        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
-
-    return record_op(out, (x,), bwd)
-
-
-def _gelu_untaped(xd: np.ndarray) -> np.ndarray:
-    """gelu's forward, piece by piece into one new array."""
     out = np.empty_like(xd)
     flat, oflat = xd.reshape(-1), out.reshape(-1)
     scratch = np.empty(min(flat.size, CHUNK))
     for s in _pieces(flat.size, 1):
-        x, o = flat[s], oflat[s]
-        t = scratch[: x.size]
-        np.multiply(x, x, out=t)
+        xs, o = flat[s], oflat[s]
+        t = scratch[: xs.size]
+        np.multiply(xs, xs, out=t)
         t *= _GELU_C
-        t *= x
-        t += x
+        t *= xs
+        t += xs
         t *= _SQRT_2_OVER_PI
         np.tanh(t, out=t)
         t += 1.0
-        np.multiply(x, 0.5, out=o)
+        np.multiply(xs, 0.5, out=o)
         o *= t
-    return out
+
+    def bwd(g):
+        x2 = xd * xd
+        t = np.tanh(_SQRT_2_OVER_PI * (xd + _GELU_C * x2 * xd))
+        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
+        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+
+    return record_op(DiffArray(out), (x,), bwd)
 
 
 def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12) -> DiffArray:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     The tiny default eps keeps normalized rows within 1e-9 of unit variance
-    at float64 while still guarding constant rows.
+    at float64 while still guarding constant rows. The forward works whole
+    rows at a time into one new array; the backward recomputes the
+    normalized rows from x.
     """
     if eps <= 0:
         raise ShapeError("layernorm eps must be > 0")
     gain, bias = as_diff(gain), as_diff(bias)
-    if not _records((x, gain, bias)):
-        return DiffArray(_layernorm_untaped(x.data, gain.data, bias.data, eps))
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = DiffArray(xhat * gain.data + bias.data)
+    d = x.shape[-1]
+    out = np.empty_like(x.data)
+    rows, orows = x.data.reshape(-1, d), out.reshape(-1, d)
+    g1, b1 = gain.data.reshape(-1), bias.data.reshape(-1)
+    pieces = _pieces(len(rows), d)
+    scratch = np.empty_like(rows[pieces[0]]) if pieces else None
+    for s in pieces:
+        xs, o = rows[s], orows[s]
+        sq = scratch[: len(xs)]
+        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=o)
+        np.multiply(o, o, out=sq)
+        inv = sq.mean(axis=-1, keepdims=True)
+        inv += eps
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        o *= inv
+        o *= g1
+        o += b1
 
     def bwd(g):
+        mu = x.data.mean(axis=-1, keepdims=True)
+        xc = x.data - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = xc * inv
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead)
         dbias = g.sum(axis=lead)
@@ -448,30 +455,7 @@ def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12
         )
         return dx, dgain.reshape(gain.data.shape), dbias.reshape(bias.data.shape)
 
-    return record_op(out, (x, gain, bias), bwd)
-
-
-def _layernorm_untaped(xd: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
-    """layernorm's forward, whole rows at a time, into one new array."""
-    d = xd.shape[-1]
-    rows, out = xd.reshape(-1, d), np.empty_like(xd)
-    orows = out.reshape(-1, d)
-    gain, bias = gain.reshape(-1), bias.reshape(-1)
-    pieces = _pieces(len(rows), d)
-    scratch = np.empty_like(rows[pieces[0]]) if pieces else None
-    for s in pieces:
-        x, o = rows[s], orows[s]
-        sq = scratch[: len(x)]
-        np.subtract(x, x.mean(axis=-1, keepdims=True), out=o)
-        np.multiply(o, o, out=sq)
-        inv = sq.mean(axis=-1, keepdims=True)
-        inv += eps
-        np.sqrt(inv, out=inv)
-        np.divide(1.0, inv, out=inv)
-        o *= inv
-        o *= gain
-        o += bias
-    return out
+    return record_op(DiffArray(out), (x, gain, bias), bwd)
 
 
 def l2_normalize(x: DiffArray, eps: float = 1e-24) -> DiffArray:

@@ -32,8 +32,8 @@ def linear_init(rng: np.random.Generator, d_in: int, d_out: int) -> dict:
 
 def linear(x: DiffArray, p: dict, name: str = "") -> DiffArray:
     """Apply the layer of weight p["w" + name] and bias p["b" + name], as
-    linear_init makes it; the bias is added into the product's own buffer
-    when nothing records."""
+    linear_init makes it; the bias is added into the product's own buffer,
+    which matmul's backward does not read."""
     y = O.matmul(x, p["w" + name])
     return O.add(y, p["b" + name], out=y)
 

@@ -140,6 +140,29 @@ def test_integer_fields_refuse_scientific_notation(workdir, capsys):
     assert "train.batch_size: expected an integer" in capsys.readouterr().err
 
 
+ONE_CLIP = [
+    "--set", "data.clips=1",
+    "--set", "data.frames_per_clip=32",
+    "--set", "losses.anchor_count=1",
+    "--set", "losses.candidate_count=1",
+]
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+def test_one_clip_with_mtc_on_is_refused_before_the_plan(workdir, capsys, dry_run):
+    before = set(workdir.rglob("*"))
+    assert main(["train-stage1", *FAST, *ONE_CLIP, *dry_run]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: losses.mtc_weight: ") and "data.clips >= 2, got 1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert set(workdir.rglob("*")) == before
+
+
+def test_one_clip_trains_with_mtc_off(workdir, capsys):
+    assert main(["train-stage1", *FAST, *ONE_CLIP, "--set", "losses.mtc_weight=0"]) == EXIT_OK
+    assert (workdir / "runs/toy/stage1.ckpt").exists()
+
+
 @pytest.mark.parametrize(
     "override, path",
     [
@@ -153,6 +176,7 @@ def test_integer_fields_refuse_scientific_notation(workdir, capsys):
             "model.video.stages[0].merg",
         ),
         ("data.out_dir=", "data.out_dir"),
+        ("train.batch_size=1", "train.batch_size"),  # in-batch negatives need a second pair
     ],
 )
 def test_overrides_get_the_file_checks(workdir, capsys, override, path):

@@ -1,5 +1,7 @@
 """Engine contracts: op semantics, finite-difference gradients, tape rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -559,3 +561,46 @@ def test_attention_rejects_a_head_count_below_one(heads):
     with pytest.raises(ShapeError) as e:
         attention(q, q, q, heads)
     assert str(e.value) == f"dim 4 not divisible by heads {heads}"
+
+
+# ---------------------------------------------------------------------------
+# the tape keeps what a backward reads, and no elementwise temporaries
+# ---------------------------------------------------------------------------
+
+
+def _layernorm_op(x):
+    gain, bias = parameter(np.ones(512)), parameter(np.zeros(512))
+    return lambda: layernorm(x, gain, bias)
+
+
+def _add_out_op(x):
+    y, bias = scale(x, 2.0), parameter(np.zeros(512))
+    return lambda: add(y, bias, out=y)
+
+
+# each op's maker, and the output sizes the op may leave allocated
+TAPED_OPS = {
+    "gelu": (lambda x: lambda: gelu(x), 1),
+    "layernorm": (_layernorm_op, 1),
+    "reshape": (lambda x: lambda: x.reshape((512, 256)), 0),
+    "add-out": (_add_out_op, 0),
+}
+
+
+@pytest.mark.parametrize("make, outputs", TAPED_OPS.values(), ids=TAPED_OPS)
+def test_a_taped_op_leaves_at_most_its_output_allocated(make, outputs):
+    """Bytes a taped op on a (256, 512) parameter leaves allocated while its
+    output and the tape live, in output sizes: only a new output's, with
+    slack for the Python objects and the tape's record."""
+    x = parameter(np.random.default_rng(3).normal(size=(256, 512)))
+    with Tape() as tape:
+        op = make(x)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert tape.ops[-1].output is out
+    assert left <= outputs * x.data.nbytes + x.data.nbytes // 16
