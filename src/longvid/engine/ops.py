@@ -548,28 +548,33 @@ def maxpool2d(x: DiffArray, window: tuple[int, int], stride: tuple[int, int] | N
 
 
 def cross_entropy_logits(logits: DiffArray, labels: np.ndarray) -> DiffArray:
-    """Mean cross-entropy of integer labels under rows of logits."""
+    """Mean cross-entropy of integer labels under rows of logits.
+
+    (n, classes) logits with (n,) labels give the scalar mean over the rows;
+    (B, n, classes) logits with (B, n) labels give the (B,) means of each
+    leading slice, each bitwise the 2-d call on that slice.
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy_logits needs (n, classes) logits, got {logits.shape}")
-    n, v = logits.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} != ({n},)")
+    if logits.ndim not in (2, 3):
+        raise ShapeError(f"cross_entropy_logits needs (n, classes) or (B, n, classes) logits, got {logits.shape}")
+    n, v = logits.shape[-2:]
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels shape {labels.shape} != {logits.shape[:-1]}")
     if n == 0:
         raise ShapeError("cross_entropy_logits needs at least one row")
     if labels.min() < 0 or labels.max() >= v:
         raise ShapeError(f"labels out of range [0, {v})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    se = e.sum(axis=1)
-    logp = z - np.log(se)[:, None]
-    out = DiffArray(-logp[np.arange(n), labels].mean())
+    se = e.sum(axis=-1)
+    logp = z - np.log(se)[..., None]
+    picked = (*np.indices(labels.shape), labels)
+    out = DiffArray(-logp[picked].mean(axis=-1))
 
     def bwd(g):
-        gd = float(g.reshape(()))
-        dl = e / se[:, None]
-        dl[np.arange(n), labels] -= 1.0
-        return (dl * (gd / n),)
+        dl = e / se[..., None]
+        dl[picked] -= 1.0
+        return (dl * (g.reshape(labels.shape[:-1] + (1, 1)) / n),)
 
     return record_op(out, (logits,), bwd)
 

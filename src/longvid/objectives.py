@@ -13,9 +13,11 @@ loss is a nonnegative scalar DiffArray.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,15 +44,68 @@ class MtcSampling:
             raise EngineError("cross-negative count must be >= 0")
 
 
+def positive_labels(anchor_pos: np.ndarray, cand_pos: np.ndarray) -> np.ndarray:
+    """Index into each row of ascending candidate positions (..., K) of the
+    temporally nearest candidate of each anchor position (..., k); argmin
+    keeps the first minimum, so ties break to the lower position."""
+    return np.abs(anchor_pos[..., :, None] - cand_pos[..., None, :]).argmin(axis=-1)
+
+
 def select_positive(anchor: int, candidates: list[int]) -> int:
     """Candidate with minimal temporal distance; ties break to lower index."""
     if not candidates:
         raise EngineError("candidate set must be non-empty")
-    best = candidates[0]
-    for q in candidates[1:]:
-        if abs(anchor - q) < abs(best - anchor) or (abs(anchor - q) == abs(best - anchor) and q < best):
-            best = q
-    return best
+    cands = np.sort(np.asarray(candidates, dtype=np.int64))
+    return int(cands[positive_labels(np.array([anchor]), cands)[0]])
+
+
+def _check_pair(M: int, sampling: MtcSampling, temperature: float) -> None:
+    if M < 2:
+        raise EngineError(f"need >= 2 representations per side, got {M}")
+    if sampling.anchors > M or sampling.candidates > M:
+        raise EngineError(f"cannot sample {sampling.anchors}/{sampling.candidates} from {M} positions")
+    if temperature <= 0:
+        raise EngineError("temperature must be > 0")
+
+
+def _position_rows(rngs, M: int, sampling: MtcSampling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each stream's next draws, anchors then candidates, without
+    replacement and sorted. Returns the anchor (B, k) and candidate (B, K)
+    rows of the flat (B·M, d) batch, stream b drawing for sample b, and
+    each anchor's label (B, k)."""
+    draws = [
+        (np.sort(rng.choice(M, size=sampling.anchors, replace=False)),
+         np.sort(rng.choice(M, size=sampling.candidates, replace=False)))
+        for rng in rngs
+    ]
+    anchor_pos = np.array([a for a, _ in draws], dtype=np.int64)
+    cand_pos = np.array([c for _, c in draws], dtype=np.int64)
+    offsets = M * np.arange(len(draws), dtype=np.int64)[:, None]
+    return anchor_pos + offsets, cand_pos + offsets, positive_labels(anchor_pos, cand_pos)
+
+
+def _mtc_kernel(
+    anchor_flat: DiffArray,
+    cand_flat: DiffArray,
+    anchor_rows: np.ndarray,
+    cand_rows: np.ndarray,
+    negatives: DiffArray | None,
+    labels: np.ndarray,
+    temperature: float,
+) -> DiffArray:
+    """Mean over B samples of each sample's mean anchor cross-entropy.
+
+    anchor_flat / cand_flat: (B·M, d) rows; anchor_rows (B, k) and
+    cand_rows (B, K) index them; negatives: (B, n, d) or None. Each anchor
+    scores its sample's candidates, then its sample's negatives.
+    """
+    B = labels.shape[0]
+    cands = O.take(cand_flat, cand_rows)  # (B, K, d)
+    if negatives is not None:
+        cands = O.concat([cands, negatives], axis=1)  # (B, K + n, d)
+    anchors = O.take(anchor_flat, anchor_rows)  # (B, k, d)
+    logits = O.scale(O.matmul(anchors, O.transpose(cands, (0, 2, 1))), 1.0 / temperature)
+    return O.scale(O.sum(O.cross_entropy_logits(logits, labels)), 1.0 / B)
 
 
 def mtc_pair_loss(
@@ -67,47 +122,16 @@ def mtc_pair_loss(
     modalities. Draws the anchor and candidate index sets without
     replacement, then for each anchor scores the candidates plus the given
     cross-sample negatives and cross-entropies against the temporally
-    nearest candidate.
+    nearest candidate. The batch loss's kernel on a batch of one.
     """
     M = anchor_reps.shape[0]
-    if M < 2:
-        raise EngineError(f"need >= 2 representations per side, got {M}")
     if candidate_reps.shape[0] != M:
         raise EngineError(f"sequence lengths differ: {M} vs {candidate_reps.shape[0]}")
-    if sampling.anchors > M or sampling.candidates > M:
-        raise EngineError(f"cannot sample {sampling.anchors}/{sampling.candidates} from {M} positions")
-    if temperature <= 0:
-        raise EngineError("temperature must be > 0")
-
-    anchor_idx = np.sort(rng.choice(M, size=sampling.anchors, replace=False))
-    cand_idx = np.sort(rng.choice(M, size=sampling.candidates, replace=False))
-
-    anchors = O.take(anchor_reps, anchor_idx, axis=0)  # (k, d)
-    cands = O.take(candidate_reps, cand_idx, axis=0)  # (|K|, d)
-    logits = O.scale(O.matmul(anchors, O.transpose(cands)), 1.0 / temperature)
-    if negatives is not None and negatives.shape[0] > 0:
-        neg = O.scale(O.matmul(anchors, O.transpose(negatives)), 1.0 / temperature)
-        logits = O.concat([logits, neg], axis=1)
-
-    labels = np.array(
-        [list(cand_idx).index(select_positive(int(p), [int(q) for q in cand_idx])) for p in anchor_idx],
-        dtype=np.int64,
-    )
-    return O.cross_entropy_logits(logits, labels)
-
-
-def _draw_cross_negatives(
-    reps: DiffArray, exclude: int, count: int, rng: np.random.Generator
-) -> DiffArray | None:
-    """count rows drawn from all samples except `exclude`, flattened over
-    (sample, position)."""
-    if count == 0:
-        return None
-    B, M, d = reps.shape
-    pool = np.array([(b, m) for b in range(B) if b != exclude for m in range(M)], dtype=np.int64)
-    pick = rng.choice(len(pool), size=count, replace=len(pool) < count)
-    flat = O.reshape(reps, (B * M, d))
-    return O.take(flat, pool[pick, 0] * M + pool[pick, 1], axis=0)
+    _check_pair(M, sampling, temperature)
+    anchor_rows, cand_rows, labels = _position_rows([rng], M, sampling)
+    if negatives is not None:
+        negatives = O.reshape(negatives, (1, *negatives.shape))
+    return _mtc_kernel(anchor_reps, candidate_reps, anchor_rows, cand_rows, negatives, labels, temperature)
 
 
 _DIRECTION_TAGS = {"v2t": 1, "t2v": 2}
@@ -117,6 +141,43 @@ def sample_rng(seed_key, direction: str, sample_key: int) -> np.random.Generator
     """The per-(direction, sample) stream used by the batch loss; exposed so
     oracles can reproduce the exact draws."""
     return np.random.default_rng([*seed_key, _DIRECTION_TAGS[direction], sample_key])
+
+
+class MtcPlan(NamedTuple):
+    """Index plan of one direction over the flat (B·M, d) batch: anchor rows
+    (B, k), candidate rows (B, K), cross-sample negative rows (B, n) and the
+    label of each anchor among its candidates (B, k). Read-only."""
+
+    anchor_rows: np.ndarray
+    candidate_rows: np.ndarray
+    negative_rows: np.ndarray
+    labels: np.ndarray
+
+
+@functools.lru_cache(maxsize=2)
+def mtc_plan(seed_key: tuple, direction: str, sample_keys: tuple, M: int, sampling: MtcSampling) -> MtcPlan:
+    """Every draw of one direction of `mtc_loss`, from the stream of each
+    (direction, sample key): first the sample's cross-sample negatives,
+    with replacement only when the B·M − M rows of the other samples are
+    fewer than asked, then its anchors, then its candidates.
+
+    Pure in its arguments, so cached: the two entries hold both directions
+    of one loss key, which the numeric evaluations of a gradient check all
+    share.
+    """
+    rngs = [sample_rng(seed_key, direction, key) for key in sample_keys]
+    pool, n = (len(rngs) - 1) * M, sampling.cross_negatives
+    negative_rows = np.empty((len(rngs), n), dtype=np.int64)
+    if n:
+        for b, rng in enumerate(rngs):
+            # row j of the pool, which leaves out sample b's own M rows
+            j = rng.choice(pool, size=n, replace=pool < n)
+            negative_rows[b] = j + M * (j >= b * M)
+    anchor_rows, cand_rows, labels = _position_rows(rngs, M, sampling)
+    plan = MtcPlan(anchor_rows, cand_rows, negative_rows, labels)
+    for rows in plan:
+        rows.flags.writeable = False
+    return plan
 
 
 def mtc_loss(
@@ -138,36 +199,40 @@ def mtc_loss(
     which gives two copies of a sample the same key. Cross-sample negatives
     come from the other samples' representations of the candidate modality
     (sentences when clips anchor, clips when sentences anchor);
-    `negatives_fn(direction, sample, rng)` overrides the draw for tests.
+    `negatives_fn(direction, sample, rng)` overrides the draw for tests: it
+    gets each sample's stream before the anchor and candidate draws, returns
+    that sample's (n, d) negatives (the same n for every sample, or None
+    for all), and bypasses the plan cache.
     """
     B, M, d = clip_reps.shape
     if sentence_reps.shape != (B, M, d):
         raise EngineError(f"shape mismatch: {clip_reps.shape} vs {sentence_reps.shape}")
     if sample_keys is not None and len(sample_keys) != B:
         raise EngineError(f"sample_keys length {len(sample_keys)} != batch {B}")
-    sampling_eff = sampling
+    _check_pair(M, sampling, temperature)
     if B == 1 and sampling.cross_negatives > 0:
         warnings.warn("batch of one sample has no cross-sample negatives; using none", stacklevel=2)
-        sampling_eff = MtcSampling(sampling.anchors, sampling.candidates, 0)
+        sampling = MtcSampling(sampling.anchors, sampling.candidates, 0)
+    seed_key = tuple(seed_key)
+    keys = tuple(sample_keys) if sample_keys is not None else tuple(range(B))
+    clips, sentences = O.reshape(clip_reps, (B * M, d)), O.reshape(sentence_reps, (B * M, d))
 
-    def one_direction(anchors_all: DiffArray, cands_all: DiffArray, direction: str) -> DiffArray:
-        per_sample = []
-        for b in range(B):
-            rng = sample_rng(seed_key, direction, sample_keys[b] if sample_keys else b)
-            if negatives_fn is not None:
-                negs = negatives_fn(direction, b, rng)
-            else:
-                negs = _draw_cross_negatives(cands_all, b, sampling_eff.cross_negatives, rng)
-            a = O.reshape(O.take(anchors_all, np.array([b]), axis=0), (M, d))
-            c = O.reshape(O.take(cands_all, np.array([b]), axis=0), (M, d))
-            per_sample.append(mtc_pair_loss(a, c, negs, sampling_eff, temperature, rng))
-        total = per_sample[0]
-        for term in per_sample[1:]:
-            total = O.add(total, term)
-        return O.scale(total, 1.0 / B)
+    def one_direction(direction: str, anchor_flat: DiffArray, cand_flat: DiffArray) -> DiffArray:
+        if negatives_fn is None:
+            plan = mtc_plan(seed_key, direction, keys, M, sampling)
+            anchor_rows, cand_rows, labels = plan.anchor_rows, plan.candidate_rows, plan.labels
+            negatives = O.take(cand_flat, plan.negative_rows) if sampling.cross_negatives else None
+        else:
+            rngs = [sample_rng(seed_key, direction, key) for key in keys]
+            drawn = [negatives_fn(direction, b, rng) for b, rng in enumerate(rngs)]
+            anchor_rows, cand_rows, labels = _position_rows(rngs, M, sampling)
+            negatives = None
+            if drawn[0] is not None:
+                negatives = O.concat([O.reshape(x, (1, *x.shape)) for x in drawn], axis=0)
+        return _mtc_kernel(anchor_flat, cand_flat, anchor_rows, cand_rows, negatives, labels, temperature)
 
-    v2t = one_direction(clip_reps, sentence_reps, "v2t")
-    t2v = one_direction(sentence_reps, clip_reps, "t2v")
+    v2t = one_direction("v2t", clips, sentences)
+    t2v = one_direction("t2v", sentences, clips)
     return O.scale(O.add(v2t, t2v), 0.5)
 
 

@@ -473,6 +473,40 @@ def test_cross_entropy_gradient(seed):
     assert res.ok
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_cross_entropy_gradient(seed):
+    rng = np.random.default_rng(seed)
+    logits = rand(rng, 3, 4, 7)
+    labels = rng.integers(0, 7, size=(3, 4))
+    weights = constant(rng.normal(size=3))
+    res = check_gradients(lambda l: asum(mul(cross_entropy_logits(l, labels), weights)), [logits])
+    assert res.ok
+
+
+def test_batched_cross_entropy_slices_equal_the_2d_call():
+    rng = np.random.default_rng(0)
+    logits = rand(rng, 5, 4, 7)
+    labels = rng.integers(0, 7, size=(5, 4))
+    weights = rng.normal(size=5)
+    with Tape() as tape:
+        batched = cross_entropy_logits(logits, labels)
+        tape.backward(asum(mul(batched, constant(weights))))
+    assert batched.shape == (5,)
+    for b in range(5):
+        piece = parameter(logits.data[b].copy())
+        with Tape() as tape:
+            one = cross_entropy_logits(piece, labels[b])
+            tape.backward(scale(one, weights[b]))
+        assert one.data.tobytes() == batched.data[b : b + 1].tobytes()
+        assert piece.grad.tobytes() == logits.grad[b].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3, 4, 7)])
+def test_cross_entropy_shape_error_names_both_layouts(shape):
+    with pytest.raises(ShapeError, match=r"\(n, classes\) or \(B, n, classes\)"):
+        cross_entropy_logits(constant(np.zeros(shape)), np.zeros(shape[:-1], dtype=np.int64))
+
+
 def test_cross_entropy_uniform_value():
     logits = constant(np.zeros((3, 256)))
     out = cross_entropy_logits(logits, np.array([0, 10, 255]))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from longvid.engine import EngineError, check_gradients, constant, l2_normalize, parameter
+from longvid.engine import EngineError, Tape, check_gradients, constant, l2_normalize, parameter
 from longvid.objectives import (
     MtcSampling,
     brute_force_pair_loss,
@@ -15,6 +15,8 @@ from longvid.objectives import (
     mlm_loss,
     mtc_loss,
     mtc_pair_loss,
+    mtc_plan,
+    positive_labels,
     sample_rng,
     select_positive,
     stage1_loss,
@@ -48,6 +50,15 @@ def test_positive_matches_brute_force_on_all_enumerations(m):
         for cands in itertools.combinations(range(m), size):
             for anchor in range(m):
                 assert select_positive(anchor, list(cands)) == brute_force_positive(anchor, list(cands))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_positive_labels_match_brute_force_on_every_anchor_and_candidate_set(m):
+    subsets = [np.array(s) for size in range(1, m + 1) for s in itertools.combinations(range(m), size)]
+    for anchors in subsets:
+        for cands in subsets:
+            labels = positive_labels(anchors[None], cands[None])[0]
+            assert [int(cands[j]) for j in labels] == [brute_force_positive(int(a), list(cands)) for a in anchors]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +198,52 @@ def test_batch_loss_gradient(seed):
         return mtc_loss(l2_normalize(v_raw), l2_normalize(t_raw), sampling, 0.5, seed_key=(seed, 11))
 
     assert check_gradients(f, [v_raw, t_raw], rtol=1e-3).ok
+
+
+def _pool_negatives(reps, b, count, rng):
+    """Rows of every sample but b, picked from a listed (sample, position)
+    pool: the draw the batch loss reproduces without listing the pool."""
+    B, M, _ = reps.shape
+    pool = [(c, m) for c in range(B) if c != b for m in range(M)]
+    pick = rng.choice(len(pool), size=count, replace=len(pool) < count)
+    return np.stack([reps[pool[j]] for j in pick])
+
+
+@pytest.mark.parametrize("batch", [2, 3, 8])
+@pytest.mark.parametrize("sampling", [MtcSampling(2, 2, 3), MtcSampling(3, 1, 14), MtcSampling(1, 4, 1)])
+def test_batch_loss_matches_scalar_recomputation(batch, sampling):
+    rng = np.random.default_rng(batch)
+    v = unit_rows(rng, batch, 4, 6)
+    t = unit_rows(rng, batch, 4, 6)
+    loss = mtc_loss(constant(v), constant(t), sampling, 0.05, seed_key=(batch, 3))
+    terms = []
+    for direction, anchors, cands in (("v2t", v, t), ("t2v", t, v)):
+        for b in range(batch):
+            draws = sample_rng((batch, 3), direction, b)
+            negs = _pool_negatives(cands, b, sampling.cross_negatives, draws)
+            anchor_idx, cand_idx = _reproduce_draws(4, sampling, draws)
+            terms.append(brute_force_pair_loss(anchors[b], cands[b], negs, anchor_idx, cand_idx, 0.05))
+    assert abs(loss.item() - sum(terms) / len(terms)) < 1e-10
+
+
+def test_batch_loss_records_the_same_ops_at_any_batch():
+    counts = []
+    for batch in (2, 8):
+        rng = np.random.default_rng(batch)
+        v = parameter(unit_rows(rng, batch, 4, 6))
+        t = parameter(unit_rows(rng, batch, 4, 6))
+        with Tape() as tape:
+            mtc_loss(v, t, MtcSampling(2, 2, 3), 0.05, seed_key=(0,))
+        counts.append(len(tape))
+    assert counts[0] == counts[1]
+
+
+def test_plan_arrays_are_read_only():
+    plan = mtc_plan((0,), "v2t", (0, 1, 2), 4, MtcSampling(2, 3, 2))
+    assert [rows.shape for rows in plan] == [(3, 2), (3, 3), (3, 2), (3, 2)]
+    for rows in plan:
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from longvid.engine import (
     record_op,
 )
 from longvid.engine import ops as O
-from longvid.objectives import mlm_loss, stage2_loss, vtm_accuracy, vtm_loss
+from longvid.objectives import mlm_loss, mtc_plan, stage2_loss, vtm_accuracy, vtm_loss
 from longvid.pipeline import (
     STAGE2_FROZEN_PREFIXES,
     CorruptCheckpointError,
@@ -115,6 +115,15 @@ def test_weight_gating_identical_step0_global_loss(tiny_cfg, tiny_data):
     assert rows_mtc[0]["loss_global"] == rows_glob[0]["loss_global"]
     assert rows_mtc[1]["loss_global"] != rows_glob[1]["loss_global"]
     assert rows_glob[0]["loss_mtc"] is None
+
+
+def test_training_keeps_at_most_two_mtc_plans(tiny_cfg, tiny_data):
+    train, _ = tiny_data
+    mtc_plan.cache_clear()
+    train_stage1(tiny_cfg, train, steps=5)
+    info = mtc_plan.cache_info()
+    # each step's key is new: one plan per direction and step, none reused
+    assert (info.hits, info.misses, info.currsize) == (0, 10, 2)
 
 
 def test_warmup_visible_in_metrics(tiny_cfg, tiny_data):
