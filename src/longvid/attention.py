@@ -238,8 +238,8 @@ def _window_bias(p: dict, spec: WindowSpec, h: int, w: int) -> DiffArray | None:
 
 
 def multi_head_attention(x: DiffArray, p: dict, heads: int, add_mask: np.ndarray | None = None) -> DiffArray:
-    """Full self-attention over (B, n, dim) with an optional additive mask
-    broadcastable to (B, heads, n, n)."""
+    """Full self-attention over the last two axes of x (..., n, dim), with
+    an optional additive mask broadcastable to (..., heads, n, n)."""
     return _mha(x, p, heads, add_mask)
 
 

@@ -326,13 +326,18 @@ def write_shard(path: str | Path, samples: list[PairedSample], cfg: DataConfig) 
 def read_shard(path: str | Path) -> tuple[list[PairedSample], dict]:
     def body(r: ArtifactReader):
         dims = r.unpack(f"<{len(_SHARD_FIELDS)}I")
-        M, N, H, W, p, L, _, count, dz = dims
+        M, N, H, W, p, L, vocab_size, count, dz = dims
         samples = []
-        for _ in range(count):
+        for i in range(count):
             (sid,) = r.unpack("<Q")
             topics = r.array((M, dz), "<f8")
             patches = r.array((M, N, H, W, p), "<f8")
             tokens = r.array((M, L), "<u4", np.int64)
+            no_cls = np.flatnonzero(tokens[:, 0] != CLS_ID) if L else range(M)  # the text encoder reads [CLS] first
+            if tokens.size and tokens.max() >= vocab_size:
+                raise r.corrupt(f"sample {i} (id {sid}): token id {tokens.max()} is not below vocab_size {vocab_size}")
+            if len(no_cls):
+                raise r.corrupt(f"sample {i} (id {sid}): sentence {no_cls[0]} does not start with [CLS]")
             lengths = r.array((M,), "<u4", np.int64)
             samples.append(PairedSample(sid, topics, patches, tokens, lengths))
         return samples, dict(zip(_SHARD_FIELDS, dims))

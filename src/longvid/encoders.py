@@ -1,13 +1,14 @@
 """The three encoders: two-part text, hierarchical-window video, cross-modal.
 
-Text runs sentence-local attention first (per-sentence [CLS] outputs become
-sentence representations), then paragraph-wide attention behind a prepended
-global [CLS] built as the mean of the sentence [CLS] vectors. Video stacks
-window-attention stages with spatial patch merging in between; the stage
-whose temporal window equals the per-clip frame count yields clip
-representations, the final stage the video representation. The cross-modal
-encoder joins pooled video tokens to the paragraph-level text tokens with
-full self-attention.
+Text runs sentence-local attention first, on a (B, M, L, d) grid whose
+sentence axis keeps it inside each sentence (per-sentence [CLS] outputs
+become sentence representations), then paragraph-wide attention behind a
+prepended global [CLS] built as the mean of the sentence [CLS] vectors;
+masks carry only padding. Video stacks window-attention stages with
+spatial patch merging in between; the stage whose temporal window equals
+the per-clip frame count yields clip representations, the final stage the
+video representation. The cross-modal encoder joins pooled video tokens to
+the paragraph-level text tokens with full self-attention.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def _block(x: DiffArray, p: dict, attend) -> DiffArray:
 
 
 def _key_mask_to_additive(allowed: np.ndarray) -> np.ndarray:
-    # (B, n) boolean keys -> (B, 1, 1, n) additive mask
-    return np.where(allowed[:, None, None, :], 0.0, -1e9)
+    # (..., n) boolean keys -> (..., 1, 1, n) additive mask
+    return np.where(allowed[..., None, None, :], 0.0, -1e9)
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +95,6 @@ class TextEncoder:
             "ln_out": P.layernorm_init(d),
         }
 
-    def _sentence_mask(self, pad: np.ndarray) -> np.ndarray:
-        # Block-diagonal per sentence; pad keys masked everywhere.
-        B, M, L = pad.shape
-        n = M * L
-        same = np.zeros((n, n), dtype=bool)
-        for m in range(M):
-            same[m * L : (m + 1) * L, m * L : (m + 1) * L] = True
-        allowed = same[None, :, :] & pad.reshape(B, 1, n)
-        return np.where(allowed[:, None, :, :], 0.0, -1e9)
-
     def forward(self, token_ids: np.ndarray, pad_mask: np.ndarray) -> TextOutput:
         """token_ids: (B, M, L) ints; pad_mask True at real tokens."""
         B, M, L = token_ids.shape
@@ -115,20 +106,15 @@ class TextEncoder:
 
         t = self.cfg
         p = self.params
-        x = O.take(p["tok_emb"], token_ids.reshape(B, M * L))  # (B, n, d)
-        pos = O.reshape(p["pos_emb"], (1, 1, L, t.dim))
-        x = O.add(O.reshape(x, (B, M, L, t.dim)), pos)
-        x = O.reshape(x, (B, M * L, t.dim))
+        x = O.take(p["tok_emb"], token_ids)  # (B, M, L, d)
+        x = O.add(x, O.reshape(p["pos_emb"], (1, 1, L, t.dim)))
 
-        mask1 = self._sentence_mask(pad_mask)
+        mask1 = _key_mask_to_additive(pad_mask)  # (B, M, 1, 1, L)
         for i in range(t.sentence_layers):
             x = _block(x, p["sentence_blocks"][str(i)], lambda h, a: multi_head_attention(h, a, t.heads, mask1))
+        sentence_feats = O.take(x, 0, axis=2)  # (B, M, d) per-sentence [CLS]
 
-        cls_positions = np.arange(M) * L
-        sentence_feats = O.take(x, cls_positions, axis=1)  # (B, M, d)
-
-        seg = O.reshape(p["seg_emb"], (1, M, 1, t.dim))
-        x2 = O.add(O.reshape(x, (B, M, L, t.dim)), seg)
+        x2 = O.add(x, O.reshape(p["seg_emb"], (1, M, 1, t.dim)))
         x2 = O.reshape(x2, (B, M * L, t.dim))
         global_cls = O.mean(sentence_feats, axis=1, keepdims=True)  # (B, 1, d)
         x2 = O.concat([global_cls, x2], axis=1)  # (B, 1 + n, d)
@@ -139,7 +125,7 @@ class TextEncoder:
             x2 = _block(x2, p["paragraph_blocks"][str(i)], lambda h, a: multi_head_attention(h, a, t.heads, mask2))
         x2 = O.layernorm(x2, p["ln_out"]["g"], p["ln_out"]["b"])
 
-        paragraph = O.reshape(O.take(x2, np.array([0]), axis=1), (B, t.dim))
+        paragraph = O.take(x2, 0, axis=1)  # (B, d) global [CLS]
         return TextOutput(sentence_feats=sentence_feats, paragraph_feat=paragraph, tokens=x2, key_mask=key_mask)
 
 

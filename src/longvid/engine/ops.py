@@ -313,14 +313,14 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     heads are joined back to (..., n, dim). bias, broadcastable to the
     (..., heads, n, n) scores, is a learned DiffArray or a constant mask,
     lifted by `as_diff`. Both products go through `matmul` off the tape, so
-    they are counted like any other. The forward walks the flattened leading
-    axes in pieces of about CHUNK elements of q or of the scores, works in
-    place on each piece's scores buffer and writes each piece's context into
-    one output; a bias with leading dims is sliced with its piece (3-d q
-    only). It runs one piece over the whole leading shape when a tape
-    records, whose backward keeps that piece's per-head q, kᵀ and v and its
-    probabilities and recomputes nothing, or when the bias has leading dims
-    it cannot be sliced by.
+    they are counted like any other. Off the tape, the forward walks the
+    flattened leading axes in pieces of about CHUNK elements of q or of the
+    scores, works in place on each piece's scores buffer and writes each
+    piece's context into one output. The bias is broadcast to q's leading
+    dims, one row per row of q (a view wherever the strides allow), and
+    sliced with every piece. When a tape records, the op runs one piece over
+    the whole leading shape, whose backward keeps its per-head q, kᵀ and v
+    and its probabilities and recomputes nothing.
     """
     dim = q.shape[-1]
     if heads < 1 or dim % heads:
@@ -345,18 +345,22 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     n = q.shape[-2]
     out = np.empty(q.shape)
     views = (q.data, k.data, v.data, out)
-    pieces, sliced = [...], False  # one piece over the whole leading shape
-    if not _records(inputs) and (b is None or b.ndim <= 3 or (q.ndim == 3 and b.ndim == 4)):
-        rows = math.prod(q.shape[:-2])
+    pieces = [...]  # one piece over the whole leading shape
+    if not _records(inputs):
+        lead = q.shape[:-2]
+        rows = math.prod(lead)
         views = tuple(x.reshape(rows, n, dim) for x in views)
-        pieces, sliced = _pieces(rows, n * max(dim, heads * n)), b is not None and b.ndim == 4 and len(b) > 1
+        pieces = _pieces(rows, n * max(dim, heads * n))
+        if b is not None:  # one bias row per row of q
+            tail = (1, 1, 1, *b.shape)[-3:]
+            b = np.broadcast_to(b, (*lead, *tail)).reshape(rows, *tail)
     qs, ks, vs, outs = views
     for p in pieces:
         qh, kt = heads_of(qs[p]), heads_of(ks[p], -1)
         probs = matmul(DiffArray(qh), DiffArray(kt)).data
         probs *= s
         if b is not None:
-            probs += b[p] if sliced else b
+            probs += b[p]
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import longvid
-from longvid.config import ConfigError, default_config
+from longvid.config import CLS_ID, ConfigError, default_config
 from longvid.data import CorruptFileError, generate, read_shard, write_shard
 from longvid.pipeline import MissingCheckpointError, load_checkpoint, save_checkpoint
 
@@ -92,6 +92,21 @@ def test_every_single_bit_flip_loads_or_raises_a_named_error(tmp_path, fmt, size
             except ConfigError:
                 refused.add(offset)
     assert set(range(8)) <= refused  # magic and version
+
+
+@pytest.mark.parametrize(
+    "position, token, fault",
+    [(3, 10**6, "token id 1000000 is not below vocab_size 131"), (0, CLS_ID + 1, "sentence 1 does not start with [CLS]")],
+    ids=["token-id", "no-cls"],
+)
+def test_shard_sample_the_text_encoder_cannot_read_is_corrupt(tmp_path, position, token, fault):
+    path = tmp_path / "a"
+    samples, meta = read_shard(small_shard(path))
+    samples[0].tokens[1, position] = token  # in sentence 1
+    write_shard(path, samples, replace(default_config().data, **{k: v for k, v in meta.items() if k not in ("count", "vocab_size")}))
+    with pytest.raises(CorruptFileError) as caught:
+        read_shard(path)
+    assert str(caught.value) == f"{path}: corrupt data shard (sample 0 (id {samples[0].sample_id}): {fault})"
 
 
 def test_checkpoint_with_an_ndim_past_numpys_limit_is_corrupt(tmp_path):

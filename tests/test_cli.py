@@ -12,7 +12,8 @@ import yaml
 
 import longvid
 from longvid.cli import EXIT_CONFIG, EXIT_OK, main
-from longvid.config import load_config
+from longvid.config import CLS_ID, load_config
+from longvid.data import read_shard, write_shard
 
 FAST = [
     "--set", "data.train_samples=8",
@@ -409,6 +410,19 @@ def test_shard_that_is_a_directory_exits_config(workdir, capsys):
     (workdir / "data/toy/train.shard").mkdir(parents=True)
     assert main(["train-stage1", *FAST]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: data/toy/train.shard: not a data shard (not a regular file)\n"
+
+
+@pytest.mark.parametrize("position, token", [(3, 10**6), (0, CLS_ID + 1)], ids=["token-id", "no-cls"])
+def test_shard_the_text_encoder_cannot_read_exits_config_without_a_traceback(workdir, position, token):
+    assert main(["gen-data", *FAST]) == EXIT_OK
+    shard = workdir / "data/toy/train.shard"
+    samples, _ = read_shard(shard)
+    samples[0].tokens[0, position] = token
+    write_shard(shard, samples, load_config(overrides=FAST[1::2]).data)
+    r = run_cli(["train-stage1", *FAST], workdir)
+    assert r.returncode == EXIT_CONFIG
+    assert r.stderr.startswith("config error: data/toy/train.shard: corrupt data shard (sample 0 ")
+    assert len(r.stderr.strip().splitlines()) == 1 and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize(

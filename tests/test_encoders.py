@@ -1,4 +1,4 @@
-"""Encoder contracts: sentence-local masking, clip/video representation
+"""Encoder contracts: sentence-local attention, clip/video representation
 extraction, cross-modal joining, and the paper-shaped smoke test."""
 
 import hashlib
@@ -15,14 +15,19 @@ from longvid.config import (
     merge_config_dict,
     paper_shaped_overlay,
 )
+from longvid.attention import multi_head_attention
+from longvid.data import generate
 from longvid.encoders import (
     ContrastiveHeads,
     CrossEncoder,
     TextEncoder,
     VideoEncoder,
+    _block,
     encode_pair,
 )
 from longvid.engine import ShapeError, Tape, constant, no_tape
+from longvid.engine import ops as O
+from longvid.engine.ops import count_multiply_adds
 from longvid.params import flatten_params
 
 
@@ -123,6 +128,63 @@ def test_text_sentence_rep_count(toy):
     out = enc["text"].forward(ids, pad)
     assert out.sentence_feats.shape == (3, cfg.data.clips, cfg.model.text.dim)
     assert out.tokens.shape == (3, 1 + cfg.data.clips * cfg.data.max_tokens, cfg.model.text.dim)
+
+
+def dense_mask_text_forward(text: TextEncoder, ids: np.ndarray, pad: np.ndarray):
+    """TextEncoder.forward with its sentence layers as full attention over
+    each paragraph's flat M·L tokens under a block-diagonal and padding
+    mask: the (B, M, d), (B, d) and (B, 1 + M·L, d) outputs."""
+    B, M, L = ids.shape
+    n, d, t, p = M * L, text.cfg.dim, text.cfg, text.params
+    x = O.take(p["tok_emb"], ids.reshape(B, n))
+    x = O.reshape(O.add(O.reshape(x, (B, M, L, d)), O.reshape(p["pos_emb"], (1, 1, L, d))), (B, n, d))
+    sentence = np.arange(n) // L
+    allowed = (sentence[:, None] == sentence[None, :]) & pad.reshape(B, 1, n)
+    mask = np.where(allowed[:, None], 0.0, -1e9)  # (B, 1, n, n)
+    for i in range(t.sentence_layers):
+        x = _block(x, p["sentence_blocks"][str(i)], lambda h, a: multi_head_attention(h, a, t.heads, mask))
+    sentence_feats = O.take(x, np.arange(M) * L, axis=1)
+
+    x2 = O.reshape(O.add(O.reshape(x, (B, M, L, d)), O.reshape(p["seg_emb"], (1, M, 1, d))), (B, n, d))
+    x2 = O.concat([O.mean(sentence_feats, axis=1, keepdims=True), x2], axis=1)
+    keys = np.concatenate([np.ones((B, 1), dtype=bool), pad.reshape(B, n)], axis=1)
+    mask2 = np.where(keys[:, None, None, :], 0.0, -1e9)
+    for i in range(t.paragraph_layers):
+        x2 = _block(x2, p["paragraph_blocks"][str(i)], lambda h, a: multi_head_attention(h, a, t.heads, mask2))
+    x2 = O.layernorm(x2, p["ln_out"]["g"], p["ln_out"]["b"])
+    return sentence_feats.data, O.take(x2, 0, axis=1).data, x2.data
+
+
+@pytest.mark.parametrize("overlay", [{}, {"data": {"max_tokens": 50}}], ids=["default", "max_tokens=50"])
+def test_sentence_layers_match_the_dense_block_mask(overlay):
+    cfg = build_config(merge_config_dict(overlay))
+    text = TextEncoder(cfg.model, cfg.data, np.random.default_rng(0))
+    ids = np.stack([s.tokens for s in generate(cfg.data, 0)[0][:8]])
+    pad = ids != PAD_ID
+    assert not pad.all()  # some sentences are padded
+    with no_tape():
+        out = text.forward(ids, pad)
+        expected = dense_mask_text_forward(text, ids, pad)
+    for got, want in zip((out.sentence_feats, out.paragraph_feat, out.tokens), expected):
+        assert got.shape == want.shape
+        assert np.abs(got.data - want).max() <= 1e-12
+
+
+def test_text_forward_multiply_adds_match_the_closed_form(toy):
+    """The multiply-adds of one TextEncoder.forward, per sample: each sentence
+    layer's projections, its M per-sentence L x L score and weighted-sum
+    products and its FFN, then each paragraph layer's over N = 1 + M·L."""
+    cfg, enc = toy
+    t, M, L, B = cfg.model.text, cfg.data.clips, cfg.data.max_tokens, 8
+    d, r = t.dim, t.ffn_ratio
+    n, N = M * L, 1 + M * L
+    sentence_layer = 4 * n * d**2 + 2 * M * L**2 * d + 2 * r * n * d**2
+    paragraph_layer = 4 * N * d**2 + 2 * N**2 * d + 2 * r * N * d**2
+    closed_form = B * (t.sentence_layers * sentence_layer + t.paragraph_layers * paragraph_layer)
+    ids, pad = make_tokens(cfg, np.random.default_rng(14), batch=B)
+    with no_tape(), count_multiply_adds() as counted:
+        enc["text"].forward(ids, pad)
+    assert counted.multiply_adds == closed_form == 14_156_800
 
 
 # ---------------------------------------------------------------------------

@@ -574,6 +574,7 @@ def test_untaped_layernorm_is_bitwise_the_taped_op(shape):
         ((150, 16, 8), (150, 1, 16, 16), False),
         ((150, 16, 8), (1, 1, 16, 16), False),
         ((3, 5, 8), None, False),
+        ((3, 16, 32, 8), (3, 16, 1, 1, 32), False),  # 48 sentences of 32 tokens, a key mask each: three pieces
     ],
 )
 def test_untaped_attention_is_bitwise_the_taped_op(qshape, bias_shape, learned):
