@@ -1,0 +1,121 @@
+"""Time the taped training steps of two longvid source trees in one process.
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/alternate_steps.py \
+        --parent <parent checkout>/src --change src --stage 1 --blocks 14 --steps 10
+
+Two runs of one benchmark in two processes can read a few percent apart on
+identical code, so a smaller move needs both versions timed in one process.
+This script imports the `longvid` package of each tree under its own name
+(`longvid_parent`, `longvid_change`; the package imports itself relatively),
+builds each side's default-config model and train split, and then runs
+blocks of training steps through each side's own `train_stage1` or
+`train_stage2`, alternating the sides and which side starts a block. A step
+is timed from its `lr_at` call to the end of its `adamw_step`, so model
+builds and stage two's frozen encoding fall outside it. One untimed block
+per side runs first.
+
+It prints each side's median ms/step over the blocks (a block's value is the
+mean of its steps), the median and quartiles of the per-block change/parent
+ratio, how many blocks each side won, and whether the two sides' metric rows
+were equal in every block.
+
+Both sides share one C heap, so what a change does to how the process's
+memory is freed and faulted back in between steps does not show here: the
+other side's allocations change it. perfbench's separate processes show it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+TRAIN_SAMPLES = 64  # enough whole batches for any block; keeps stage two's frozen encode short
+
+
+def load_tree(src: Path, name: str):
+    """The `longvid` package under `src`, imported as `name`."""
+    pkg = src / "longvid"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Side:
+    """One tree's trainer, with `lr_at` and `adamw_step` wrapped to time each step."""
+
+    def __init__(self, src: Path, name: str, stage: int):
+        pkg = load_tree(src, name)
+        self.pipeline, self.stage = pkg.pipeline, stage
+        self.cfg = pkg.config.default_config()
+        train, _ = pkg.data.generate(self.cfg.data, self.cfg.seed)
+        self.train = train[:TRAIN_SAMPLES]
+        stage1 = self.pipeline.build_stage1_model(self.cfg, self.cfg.seed)
+        self.stage1_params = {k: p.data.copy() for k, p in stage1.params().items()}
+        self.step_s: list[float] = []
+        lr_at, adamw_step = self.pipeline.lr_at, self.pipeline.adamw_step
+        begun = []
+
+        def timed_lr_at(*args):
+            begun.append(time.perf_counter())
+            return lr_at(*args)
+
+        def timed_adamw_step(*args):
+            adamw_step(*args)
+            self.step_s.append(time.perf_counter() - begun.pop())
+
+        self.pipeline.lr_at, self.pipeline.adamw_step = timed_lr_at, timed_adamw_step
+
+    def block(self, steps: int) -> tuple[float, list[dict]]:
+        """Mean seconds per step of one fresh run of `steps` steps, and its metric rows."""
+        self.step_s.clear()
+        if self.stage == 1:
+            _, _, rows = self.pipeline.train_stage1(self.cfg, self.train, steps=steps)
+        else:
+            _, _, rows = self.pipeline.train_stage2(self.cfg, self.stage1_params, self.train, steps=steps)
+        return statistics.fmean(self.step_s), rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True, help="the parent's src directory")
+    ap.add_argument("--change", type=Path, required=True, help="the change's src directory")
+    ap.add_argument("--stage", type=int, choices=(1, 2), default=1)
+    ap.add_argument("--blocks", type=int, default=14)
+    ap.add_argument("--steps", type=int, default=10, help="steps per block")
+    args = ap.parse_args(argv)
+    if args.blocks < 1 or args.steps < 1:
+        ap.error("--blocks and --steps must be at least 1")
+
+    sides = {"parent": Side(args.parent, "longvid_parent", args.stage), "change": Side(args.change, "longvid_change", args.stage)}
+    for side in sides.values():
+        side.block(args.steps)
+    per_step = {name: [] for name in sides}
+    same_rows = True
+    for b in range(args.blocks):
+        order = ("parent", "change") if b % 2 == 0 else ("change", "parent")
+        rows = {}
+        for name in order:
+            seconds, rows[name] = sides[name].block(args.steps)
+            per_step[name].append(seconds)
+        same_rows &= rows["parent"] == rows["change"]
+
+    ratios = [c / p for p, c in zip(per_step["parent"], per_step["change"])]
+    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else (ratios[0],) * 3
+    print(f"stage {args.stage}: {args.blocks} blocks of {args.steps} steps per side")
+    for name, values in per_step.items():
+        print(f"  {name:6s} median {1e3 * statistics.median(values):.2f} ms/step")
+    print(f"  change/parent per-block ratio: median {statistics.median(ratios):.3f} (quartiles {q1:.3f}, {q3:.3f})")
+    print(f"  blocks won: change {sum(r < 1 for r in ratios)}, parent {sum(r > 1 for r in ratios)}")
+    print(f"  metric rows equal in every block: {'yes' if same_rows else 'no'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

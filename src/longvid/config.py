@@ -228,7 +228,8 @@ def _shape_rule(path: str, check, *args):
 
 
 def _check_rules(cfg: Config) -> None:
-    """The rules that tie fields together, and the upper bounds of two rates."""
+    """The rules that tie fields together, the upper bounds of two rates and
+    of AdamW's betas, and a finite warmup."""
     data, model, losses = cfg.data, cfg.model, cfg.losses
     grid = (data.patch_rows, data.patch_cols)
     _expect(data.min_tokens <= data.max_tokens, "data.min_tokens", "must be <= data.max_tokens")
@@ -256,6 +257,18 @@ def _check_rules(cfg: Config) -> None:
     _expect(losses.vtm_replace_prob <= 1.0, "losses.vtm_replace_prob", "must be in [0, 1]")
     _expect(losses.anchor_count <= data.clips, "losses.anchor_count", f"must be <= data.clips ({data.clips})")
     _expect(losses.candidate_count <= data.clips, "losses.candidate_count", f"must be <= data.clips ({data.clips})")
+    _expect(cfg.train.beta1 < 1.0, "train.beta1", "must be in [0, 1)")
+    _expect(cfg.train.beta2 < 1.0, "train.beta2", "must be in [0, 1)")
+    warmup_step_count(cfg.train, data.train_samples)
+
+
+def warmup_step_count(train: TrainSettings, n_train: int) -> int:
+    """The warmup's length in steps: `train.warmup_epochs` epochs of the
+    whole batches of `n_train` rows. Refused when it is not finite."""
+    per_epoch = max(1, n_train // train.batch_size)
+    steps = train.warmup_epochs * per_epoch
+    _expect(math.isfinite(steps), "train.warmup_epochs", f"{train.warmup_epochs} epochs of {per_epoch} steps is not a finite step count")
+    return round(steps)
 
 
 def build_config(doc: dict) -> Config:

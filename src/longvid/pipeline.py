@@ -10,6 +10,7 @@ metrics and checkpoints byte for byte.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import struct
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import PAD_ID, Config, ConfigError, build_config, merge_config_dict
+from .config import PAD_ID, Config, ConfigError, build_config, merge_config_dict, warmup_step_count
 from .data import (
     ArtifactReader,
     CorruptFileError as CorruptCheckpointError,  # a checkpoint's bytes do not decode as its format requires
@@ -40,6 +41,7 @@ from .encoders import (
 )
 from .engine import DiffArray, Tape, check_gradients, constant, no_tape
 from .engine.check import GradMismatch
+from .engine.ops import _pieces
 from .objectives import (
     MtcSampling,
     global_contrastive_loss,
@@ -134,7 +136,7 @@ def load_params(target: dict[str, DiffArray], source: dict[str, np.ndarray], req
         if path in source:
             if source[path].shape != p.data.shape:
                 raise ConfigError(f"checkpoint {path}: shape {source[path].shape} != model {p.data.shape}")
-            p.data = np.ascontiguousarray(source[path], dtype=np.float64)
+            p.data[...] = source[path]
         elif any(path.startswith(pref) for pref in required_prefixes):
             raise ConfigError(f"checkpoint missing required parameter {path}")
 
@@ -146,27 +148,33 @@ def load_params(target: dict[str, DiffArray], source: dict[str, np.ndarray], req
 
 @dataclass
 class TrainState:
+    """The trainable parameters, in `trainable_paths` order, as one float64
+    vector `data`, with their gradients `grad` and AdamW's moments in the same
+    layout; each trainable parameter's `.data` and `.grad` are views of `data`
+    and `grad`. Frozen parameters keep their own arrays and a `None` grad."""
+
     params: dict[str, DiffArray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
+    trainable_paths: list[str]
+    data: np.ndarray
+    grad: np.ndarray
+    adam_m: np.ndarray
+    adam_v: np.ndarray
     step: int
     stage: str
 
     @classmethod
     def fresh(cls, params: dict[str, DiffArray], stage: str, frozen=()) -> "TrainState":
-        """Zeroed moments for every parameter outside the `frozen` prefixes."""
-        trainables = [k for k in params if not any(k.startswith(p) for p in frozen)]
-        return cls(
-            params=params,
-            adam_m={k: np.zeros_like(params[k].data) for k in trainables},
-            adam_v={k: np.zeros_like(params[k].data) for k in trainables},
-            step=0,
-            stage=stage,
-        )
-
-    @property
-    def trainable_paths(self) -> list[str]:
-        return sorted(self.adam_m)
+        """Moves the parameters outside the `frozen` prefixes into one vector."""
+        paths = sorted(k for k in params if not k.startswith(tuple(frozen)))
+        n = sum(params[k].size for k in paths)
+        data, grad, start = np.empty(n), np.zeros(n), 0
+        for k in paths:
+            p = params[k]
+            view = slice(start, start + p.size)
+            data[view] = p.data.reshape(-1)
+            p.data, p.grad = data[view].reshape(p.shape), grad[view].reshape(p.shape)
+            start += p.size
+        return cls(params, paths, data, grad, np.zeros(n), np.zeros(n), step=0, stage=stage)
 
 
 def lr_at(step: int, total_steps: int, warmup_steps: int, peak: float) -> float:
@@ -178,21 +186,19 @@ def lr_at(step: int, total_steps: int, warmup_steps: int, peak: float) -> float:
 
 
 def adamw_step(state: TrainState, lr: float, cfg: Config) -> None:
-    """One decoupled-weight-decay adaptive update; missing grads count as 0."""
+    """One decoupled-weight-decay adaptive update of the trainable vector, in
+    place and in pieces of `CHUNK` entries; an unreached gradient is 0."""
     t = state.step + 1
     b1, b2 = cfg.train.beta1, cfg.train.beta2
     eps = cfg.train.adam_eps
     wd = cfg.train.weight_decay
-    for path in state.trainable_paths:
-        p = state.params[path]
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = state.adam_m[path]
-        v = state.adam_v[path]
+    for s in _pieces(state.data.size, 1):
+        p, g, m, v = state.data[s], state.grad[s], state.adam_m[s], state.adam_v[s]
         m[:] = b1 * m + (1 - b1) * g
         v[:] = b2 * v + (1 - b2) * (g * g)
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
-        p.data -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p.data)
+        p -= lr * (mhat / (np.sqrt(vhat) + eps) + wd * p)
     state.step = t
 
 
@@ -268,6 +274,25 @@ def digest_params(params: dict, prefixes: tuple[str, ...] = ()) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _reuse_freed_heap() -> None:
+    """Lets the C heap that one training step frees serve the next step.
+
+    A step allocates and frees its whole tape, tens of MB. By default glibc
+    returns a freed heap top to the kernel, and the next step faults the
+    same pages in again: about 10,000 minor faults and a quarter of a default
+    stage-1 step on a 2-core box. Keeping 64 MiB at the heap top when it
+    trims (M_TOP_PAD) stops that. Setting it also freezes glibc's moving
+    mmap threshold, so M_MMAP_THRESHOLD fixes that at 32 MiB, the most it
+    moves to on 64-bit. A C library without mallopt is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # a C library other than glibc
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-2, 64 << 20)  # M_TOP_PAD
+
+
 def _train(
     cfg: Config,
     state: TrainState,
@@ -280,14 +305,13 @@ def _train(
     train rows `idx` and returns the total loss and the stage's named
     losses. Writes `<stage>_metrics.csv` and `<stage>.ckpt` under out_dir,
     if given."""
-    steps_per_epoch = max(1, n_train // cfg.train.batch_size)
-    warmup = round(cfg.train.warmup_epochs * steps_per_epoch)
+    warmup = warmup_step_count(cfg.train, n_train)
+    _reuse_freed_heap()
     rows: list[dict] = []
 
     for step, idx in enumerate(batch_indices(n_train, cfg.train.batch_size, total_steps, cfg.seed)):
         lr = lr_at(step, total_steps, warmup, cfg.train.learning_rate)
-        for p in state.params.values():
-            p.zero_grad()
+        state.grad[:] = 0.0
         with Tape() as tape:
             total, losses = batch_loss(idx, step)
             loss_val = total.item()

@@ -1,0 +1,29 @@
+"""scripts/alternate_steps.py on one tree loaded under both names."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "alternate_steps.py"
+
+
+@pytest.fixture
+def alternate_steps():
+    spec = importlib.util.spec_from_file_location("alternate_steps", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    yield module
+    for name in [n for n in sys.modules if n.split(".")[0] in ("longvid_parent", "longvid_change")]:
+        del sys.modules[name]
+
+
+def test_both_sides_run_their_own_package_and_agree(alternate_steps, capsys):
+    src = ROOT / "src"
+    assert alternate_steps.main(["--parent", str(src), "--change", str(src), "--stage", "2", "--blocks", "2", "--steps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert sys.modules["longvid_parent.engine.array"].Tape is not sys.modules["longvid_change.engine.array"].Tape
+    assert "2 blocks of 1 steps per side" in out
+    assert "metric rows equal in every block: yes" in out

@@ -178,6 +178,9 @@ def test_one_clip_trains_with_mtc_off(workdir, capsys):
         ),
         ("data.out_dir=", "data.out_dir"),
         ("train.batch_size=1", "train.batch_size"),  # in-batch negatives need a second pair
+        ("train.beta1=1.0", "train.beta1"),
+        ("train.beta2=2", "train.beta2"),
+        ("train.warmup_epochs=1e308", "train.warmup_epochs"),  # 32 steps an epoch: an infinite step count
     ],
 )
 def test_overrides_get_the_file_checks(workdir, capsys, override, path):

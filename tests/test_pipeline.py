@@ -3,14 +3,17 @@ retrieval metrics, and the gradient-check harness."""
 
 import gc
 import hashlib
+import platform
+import resource
 import weakref
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from longvid import pipeline
-from longvid.config import default_config
+from longvid.config import ConfigError, default_config
 from longvid.data import TruncatedFileError, generate, mask_tokens, stack_batch, vtm_pairs
 from longvid.encoders import VideoEncoder
 from longvid.engine import (
@@ -136,6 +139,15 @@ def test_warmup_visible_in_metrics(tiny_cfg, tiny_data):
     assert all(a >= b for a, b in zip(lrs[1:], lrs[2:]))
 
 
+def test_infinite_warmup_is_refused_before_the_first_step(tiny_cfg, tiny_data):
+    # The config's own check counts data.train_samples rows; a split of another
+    # size (a shard's count may differ) is checked again by the trainer.
+    train, _ = tiny_data
+    cfg = replace(tiny_cfg, train=replace(tiny_cfg.train, warmup_epochs=1e308))
+    with pytest.raises(ConfigError, match=r"^train\.warmup_epochs: 1e\+308 epochs of 2 steps is not a finite step count$"):
+        train_stage1(cfg, train, steps=1)
+
+
 def test_training_determinism_bytes(tmp_path, tiny_cfg, tiny_data):
     train, _ = tiny_data
     outs = []
@@ -192,6 +204,19 @@ def test_step_tape_is_freed_without_the_cycle_collector(monkeypatch, tiny_cfg, t
     finally:
         gc.enable()
     assert earlier_alive == [0, 0, 0, 0]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap trimming is glibc's")
+def test_training_steps_reuse_the_freed_heap():
+    # Each step frees its whole tape; faulting it back in costs about 10,000
+    # minor faults per default stage-1 step when the heap top is trimmed.
+    cfg = default_config()
+    train, _ = generate(replace(cfg.data, train_samples=16, eval_samples=1), 0)
+    for _ in range(2):  # the heap grows to its steady size
+        train_stage1(cfg, train, steps=2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_stage1(cfg, train, steps=8)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 8 * 100
 
 
 # ---------------------------------------------------------------------------
@@ -532,3 +557,103 @@ def test_trainstate_trainable_excludes_frozen(tiny_cfg, stage1_ckpt):
     assert all(not p.startswith(STAGE2_FROZEN_PREFIXES) for p in state.trainable_paths)
     assert any(p.startswith("cross.") for p in state.trainable_paths)
     assert any(p.startswith("cross_heads.") for p in state.trainable_paths)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_trainable_parameters_are_views_of_the_state_vectors(tiny_cfg, tiny_data, stage1_ckpt, stage):
+    train, _ = tiny_data
+    if stage == 1:
+        _, state, _ = train_stage1(tiny_cfg, train, steps=1)
+    else:
+        _, state, _ = train_stage2(tiny_cfg, stage1_ckpt, train, steps=1)
+    params = state.params
+    frozen = STAGE2_FROZEN_PREFIXES if stage == 2 else ()
+    assert state.trainable_paths == sorted(k for k in params if not k.startswith(frozen))
+
+    def check_layout():
+        for path, p in params.items():
+            trainable = path in state.trainable_paths
+            assert np.shares_memory(p.data, state.data) == trainable, path
+            assert (p.grad is not None and np.shares_memory(p.grad, state.grad)) == trainable, path
+        assert np.array_equal(np.concatenate([params[k].data.ravel() for k in state.trainable_paths]), state.data)
+
+    check_layout()
+    rng = np.random.default_rng(0)
+    source = {path: rng.standard_normal(p.shape) for path, p in params.items()}
+    pipeline.load_params(params, source)
+    check_layout()
+    assert all(np.array_equal(p.data, source[path]) for path, p in params.items())
+
+
+def test_unreached_parameter_is_decayed_exactly(tiny_cfg, tiny_data):
+    # With MTC off nothing reads the clip head, so its gradient is 0: AdamW's
+    # moments stay 0 and each step only decays the weight.
+    cfg = replace(tiny_cfg, losses=replace(tiny_cfg.losses, mtc_weight=0.0))
+    train, _ = tiny_data
+    w0 = build_stage1_model(cfg, cfg.seed).params()["heads.clip.w"].data.copy()
+    model, _, rows = train_stage1(cfg, train, steps=5)
+    tr = cfg.train
+    w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
+    for t, row in enumerate(rows, start=1):
+        mhat = m / (1 - tr.beta1**t)
+        vhat = v / (1 - tr.beta2**t)
+        w -= row["lr"] * (mhat / (np.sqrt(vhat) + tr.adam_eps) + tr.weight_decay * w)
+    assert not np.array_equal(w, w0)
+    assert np.array_equal(model.heads.params["clip"]["w"].data, w)
+
+
+# ---------------------------------------------------------------------------
+# the tape's aliasing audit
+# ---------------------------------------------------------------------------
+
+# Ops whose backward reads no input values, so an input may change between
+# recording and the backward (an `add(out=)` buffer, a view's base).
+_BACKWARD_READS_NO_INPUT = {"add", "reshape", "transpose"}
+
+
+@pytest.fixture
+def aliasing_audit(monkeypatch):
+    """Tape.record takes a crc32 of each input of an op; just before that op's
+    backward, every input that the backward may read must still match. The
+    fixture's list gathers the name of each op whose backward ran."""
+    audited = []
+    record = Tape.record
+
+    def audited_record(self, inputs, output, backward_fn):
+        inputs = tuple(inputs)
+        op = backward_fn.__qualname__.split(".")[0]
+        crcs = [zlib.crc32(i.data.tobytes()) for i in inputs]
+
+        def checked(g):
+            if op not in _BACKWARD_READS_NO_INPUT:
+                for k, (inp, crc) in enumerate(zip(inputs, crcs)):
+                    assert zlib.crc32(inp.data.tobytes()) == crc, f"{op}: input {k} changed after recording"
+            audited.append(op)
+            return backward_fn(g)
+
+        record(self, inputs, output, checked)
+
+    monkeypatch.setattr(Tape, "record", audited_record)
+    return audited
+
+
+def test_aliasing_audit_sees_a_changed_input(aliasing_audit):
+    x = parameter(np.array([0.5, -2.0]))
+    with Tape() as tape:
+        y = O.mul(x, x)
+        x.data[0] = 3.0
+        with pytest.raises(AssertionError, match="mul: input 0 changed after recording"):
+            tape.backward(O.sum(y))
+
+
+def test_no_backward_reads_an_input_changed_after_recording(aliasing_audit, tiny_cfg):
+    # The default config, so that the pieced ops run in several pieces.
+    cfg = default_config()
+    train, _ = generate(replace(cfg.data, train_samples=16, eval_samples=1), 0)
+    stage1 = train_stage1(cfg, train, steps=1)[0]
+    after_stage1 = len(aliasing_audit)
+    train_stage2(cfg, {k: p.data for k, p in stage1.params().items()}, train, steps=1)
+    after_stage2 = len(aliasing_audit)
+    assert gradcheck_stage1(tiny_cfg, seeds=(0,), max_random_entries=1).ok
+    assert 0 < after_stage1 < after_stage2 < len(aliasing_audit)
+    assert {"matmul", "attention", "gelu", "layernorm"} <= set(aliasing_audit)
