@@ -16,8 +16,10 @@ per side runs first.
 
 It prints each side's median ms/step over the blocks (a block's value is the
 mean of its steps), the median and quartiles of the per-block change/parent
-ratio, how many blocks each side won, and whether the two sides' metric rows
-were equal in every block.
+ratio, how many blocks each side won, whether the two sides' metric rows
+were equal in every block, and whether both sides ended every block with
+bitwise-equal trained parameters (`pipeline.digest_params`): equal metric
+rows do not prove equal checkpoints.
 
 Both sides share one C heap, so what a change does to how the process's
 memory is freed and faulted back in between steps does not show here: the
@@ -72,14 +74,15 @@ class Side:
 
         self.pipeline.lr_at, self.pipeline.adamw_step = timed_lr_at, timed_adamw_step
 
-    def block(self, steps: int) -> tuple[float, list[dict]]:
-        """Mean seconds per step of one fresh run of `steps` steps, and its metric rows."""
+    def block(self, steps: int) -> tuple[float, list[dict], str]:
+        """Mean seconds per step of one fresh run of `steps` steps, its metric
+        rows and the digest of its trained parameters."""
         self.step_s.clear()
         if self.stage == 1:
-            _, _, rows = self.pipeline.train_stage1(self.cfg, self.train, steps=steps)
+            _, state, rows = self.pipeline.train_stage1(self.cfg, self.train, steps=steps)
         else:
-            _, _, rows = self.pipeline.train_stage2(self.cfg, self.stage1_params, self.train, steps=steps)
-        return statistics.fmean(self.step_s), rows
+            _, state, rows = self.pipeline.train_stage2(self.cfg, self.stage1_params, self.train, steps=steps)
+        return statistics.fmean(self.step_s), rows, self.pipeline.digest_params(state.params)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,14 +100,15 @@ def main(argv: list[str] | None = None) -> int:
     for side in sides.values():
         side.block(args.steps)
     per_step = {name: [] for name in sides}
-    same_rows = True
+    same_rows = same_params = True
     for b in range(args.blocks):
         order = ("parent", "change") if b % 2 == 0 else ("change", "parent")
-        rows = {}
+        rows, digests = {}, {}
         for name in order:
-            seconds, rows[name] = sides[name].block(args.steps)
+            seconds, rows[name], digests[name] = sides[name].block(args.steps)
             per_step[name].append(seconds)
         same_rows &= rows["parent"] == rows["change"]
+        same_params &= digests["parent"] == digests["change"]
 
     ratios = [c / p for p, c in zip(per_step["parent"], per_step["change"])]
     q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else (ratios[0],) * 3
@@ -114,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  change/parent per-block ratio: median {statistics.median(ratios):.3f} (quartiles {q1:.3f}, {q3:.3f})")
     print(f"  blocks won: change {sum(r < 1 for r in ratios)}, parent {sum(r > 1 for r in ratios)}")
     print(f"  metric rows equal in every block: {'yes' if same_rows else 'no'}")
+    print(f"  trained parameters bitwise equal in every block: {'yes' if same_params else 'no'}")
     return 0
 
 

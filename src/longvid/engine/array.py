@@ -3,8 +3,9 @@
 Values live in contiguous row-major numpy buffers. Every differentiable
 operation records itself on the innermost active tape; ``Tape.backward``
 replays the records once, in exact reverse order, accumulating gradients
-additively into each array's ``grad`` buffer. With no tape active, ops run
-forward-only and allocate nothing for gradients.
+additively into each array's ``grad`` buffer and releasing each
+intermediate gradient once the op that produced it has used it. With no
+tape active, ops run forward-only and allocate nothing for gradients.
 """
 
 from __future__ import annotations
@@ -93,10 +94,18 @@ class Tape:
         self.ops.append(_TapeOp(tuple(inputs), output, backward_fn))
 
     def backward(self, loss: "DiffArray") -> None:
-        """Reverse replay from a scalar loss; each op is visited exactly once."""
+        """Reverse replay from a scalar loss; each op is visited exactly once.
+
+        Once an op's backward has returned, its output's gradient is released
+        (set to None), so an intermediate gradient lives only from the first
+        backward that adds to it until its producer's backward has run. The
+        loss and every leaf (parameters, inputs) keep theirs. `_accumulate`
+        learns which returned gradients are fresh: neither the op's `g` nor
+        returned twice by it.
+        """
         if loss.size != 1:
             raise EngineError(f"backward needs a scalar loss, got shape {loss.shape}")
-        loss._accumulate(np.ones_like(loss.data))
+        loss._accumulate(np.ones_like(loss.data), fresh=True)
         self.replayed_ops = 0
         for op in reversed(self.ops):
             if op.replays:
@@ -108,7 +117,9 @@ class Tape:
             grads = op.backward_fn(g)
             for inp, gi in zip(op.inputs, grads):
                 if gi is not None and inp.requires_grad:
-                    inp._accumulate(gi)
+                    inp._accumulate(gi, fresh=gi is not g and sum(x is gi for x in grads) == 1)
+            if op.output is not loss:
+                op.output.grad = None
             self.replayed_ops += 1
 
 
@@ -140,17 +151,29 @@ class DiffArray:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Drop the gradient, or zero it in place when it is a view of a
+        buffer the array does not own (a `TrainState` segment), so that the
+        binding survives."""
+        if self.grad is not None and self.grad.base is not None:
+            self.grad[...] = 0.0
+        else:
+            self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` into the gradient. A first gradient is kept as it is when
+        nothing else can see its buffer: the backward returned it `fresh`
+        (neither its own `g` nor twice) and it is a C-contiguous float64 array
+        that owns its memory. Any other first gradient is copied, because ops
+        such as `add` hand one buffer to several inputs and later
+        accumulation writes in place."""
         if g.shape != self.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != value shape {self.data.shape}")
-        if self.grad is None:
-            # A copy, never `g` itself: ops such as `add` hand one buffer to
-            # several inputs, and later accumulation writes in place.
-            self.grad = np.array(g, dtype=np.float64)
-        else:
+        if self.grad is not None:
             self.grad += g
+        elif fresh and g.dtype == np.float64 and g.flags.c_contiguous and g.flags.owndata and g.flags.writeable:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=np.float64)
 
     def __repr__(self) -> str:
         flags = ", grad" if self.requires_grad else ""

@@ -15,6 +15,12 @@ operand its caller owns, and `reshape` returns a view. A backward keeps
 only what is costly to remake: `gelu` and `layernorm` recompute their
 elementwise values from the input, with the same operations on the same
 operands in the same order, so the gradients are those of kept values.
+Their backwards are pieced like their forwards: each writes into the
+gradient it allocates, piece by piece, with one piece of scratch, and
+`layernorm` keeps g·x̂ whole only to sum it for the gain's gradient.
+
+A backward returns new arrays it does not keep: `Tape.backward` keeps such
+a first gradient without a copy, and adds later gradients into it in place.
 """
 
 from __future__ import annotations
@@ -53,7 +59,12 @@ def _records(inputs) -> bool:
 
 def record_op(output: DiffArray, inputs, backward_fn) -> DiffArray:
     """Record a custom op on the active tape (also the extension point used
-    by tests to exercise the gradient-check harness with a wrong rule)."""
+    by tests to exercise the gradient-check harness with a wrong rule).
+
+    `backward_fn(g)` returns one gradient or None per input. It must not
+    write into `g`, and must not keep the arrays it returns: a new array it
+    returns once may become that input's gradient buffer, which later
+    gradients are added into in place."""
     if _records(inputs):
         active_tape().record(inputs, output, backward_fn)
     return output
@@ -385,7 +396,7 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
 
 def gelu(x: DiffArray) -> DiffArray:
     """tanh-form GELU, piece by piece into one new array; the backward
-    recomputes x² and the tanh from x."""
+    recomputes x² and the tanh from x, piece by piece into the gradient."""
     xd = x.data
     out = np.empty_like(xd)
     flat, oflat = xd.reshape(-1), out.reshape(-1)
@@ -404,10 +415,35 @@ def gelu(x: DiffArray) -> DiffArray:
         o *= t
 
     def bwd(g):
-        x2 = xd * xd
-        t = np.tanh(_SQRT_2_OVER_PI * (xd + _GELU_C * x2 * xd))
-        du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+        # g · (0.5(1 + t) + 0.5x(1 - t²)·du), t = tanh(√(2/π)(x + c·x³)) and
+        # du = √(2/π)(1 + 3c·x²). Pieces of half a CHUNK, so that the two
+        # scratch rows (t, then 1 - t² and du) fill one piece.
+        dx = np.empty_like(xd)
+        gflat, dflat = g.reshape(-1), dx.reshape(-1)
+        scratch = np.empty((2, min(flat.size, CHUNK // 2)))
+        for s in _pieces(flat.size, 2):
+            xs, o = flat[s], dflat[s]
+            t, u = scratch[:, : xs.size]
+            np.multiply(xs, xs, out=t)
+            t *= _GELU_C
+            t *= xs
+            t += xs
+            t *= _SQRT_2_OVER_PI
+            np.tanh(t, out=t)
+            np.multiply(t, t, out=u)
+            np.subtract(1.0, u, out=u)
+            t += 1.0
+            t *= 0.5
+            np.multiply(xs, 0.5, out=o)
+            o *= u
+            np.multiply(xs, xs, out=u)
+            u *= 3.0 * _GELU_C
+            u += 1.0
+            u *= _SQRT_2_OVER_PI
+            o *= u
+            o += t
+            o *= gflat[s]
+        return (dx,)
 
     return record_op(DiffArray(out), (x,), bwd)
 
@@ -418,7 +454,7 @@ def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12
     The tiny default eps keeps normalized rows within 1e-9 of unit variance
     at float64 while still guarding constant rows. The forward works whole
     rows at a time into one new array; the backward recomputes the
-    normalized rows from x.
+    normalized rows from x in the same pieces.
     """
     if eps <= 0:
         raise ShapeError("layernorm eps must be > 0")
@@ -443,21 +479,31 @@ def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12
         o += b1
 
     def bwd(g):
-        mu = x.data.mean(axis=-1, keepdims=True)
-        xc = x.data - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = xc * inv
+        # dx = inv·(dx̂ - mean(dx̂) - x̂·mean(dx̂·x̂)) with dx̂ = g·gain; g·x̂ is
+        # kept whole for dgain, whose sums then run as over one product.
+        dx, gxhat = np.empty_like(x.data), np.empty_like(x.data)
+        grows, drows, gxrows = g.reshape(-1, d), dx.reshape(-1, d), gxhat.reshape(-1, d)
+        scratch = np.empty_like(rows[pieces[0]]) if pieces else None
+        for s in pieces:
+            xs, gs, o, gx = rows[s], grows[s], drows[s], gxrows[s]
+            dxh = scratch[: len(xs)]
+            np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=o)
+            np.multiply(o, o, out=dxh)
+            inv = dxh.mean(axis=-1, keepdims=True)
+            inv += eps
+            np.sqrt(inv, out=inv)
+            np.divide(1.0, inv, out=inv)
+            o *= inv
+            np.multiply(gs, g1, out=dxh)
+            np.multiply(dxh, o, out=gx)
+            m = gx.mean(axis=-1, keepdims=True)
+            np.multiply(gs, o, out=gx)
+            o *= m
+            dxh -= dxh.mean(axis=-1, keepdims=True)
+            dxh -= o
+            np.multiply(dxh, inv, out=o)
         lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgain.reshape(gain.data.shape), dbias.reshape(bias.data.shape)
+        return dx, gxhat.sum(axis=lead).reshape(gain.data.shape), g.sum(axis=lead).reshape(bias.data.shape)
 
     return record_op(DiffArray(out), (x, gain, bias), bwd)
 

@@ -27,3 +27,28 @@ def test_both_sides_run_their_own_package_and_agree(alternate_steps, capsys):
     assert sys.modules["longvid_parent.engine.array"].Tape is not sys.modules["longvid_change.engine.array"].Tape
     assert "2 blocks of 1 steps per side" in out
     assert "metric rows equal in every block: yes" in out
+    assert "trained parameters bitwise equal in every block: yes" in out
+
+
+def test_equal_metric_rows_do_not_hide_unequal_parameters(alternate_steps, capsys, monkeypatch):
+    # One step per block: its row is read before the update, so a change that
+    # only nudges the updated parameters leaves every row equal.
+    init = alternate_steps.Side.__init__
+
+    def init_with_a_nudged_update(self, src, name, stage):
+        init(self, src, name, stage)
+        if name == "longvid_change":
+            update = self.pipeline.adamw_step
+
+            def nudged(state, *args):
+                update(state, *args)
+                state.data[0] += 1e-9
+
+            self.pipeline.adamw_step = nudged
+
+    monkeypatch.setattr(alternate_steps.Side, "__init__", init_with_a_nudged_update)
+    src = ROOT / "src"
+    assert alternate_steps.main(["--parent", str(src), "--change", str(src), "--stage", "1", "--blocks", "1", "--steps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "metric rows equal in every block: yes" in out
+    assert "trained parameters bitwise equal in every block: no" in out

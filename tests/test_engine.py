@@ -27,6 +27,7 @@ from longvid.engine import (
     mul,
     numeric_gradient,
     parameter,
+    record_op,
     scale,
     softmax,
     sub,
@@ -34,7 +35,7 @@ from longvid.engine import (
     take,
     transpose,
 )
-from longvid.engine.ops import CHUNK
+from longvid.engine.ops import _GELU_C, _SQRT_2_OVER_PI, CHUNK
 
 SEEDS = range(10)
 
@@ -300,6 +301,50 @@ def test_grad_buffers_only_where_required():
         backward(asum(y))
     assert x.grad is not None
     assert c.grad is None
+
+
+def test_backward_releases_intermediate_gradients_and_keeps_leaves_and_loss():
+    rng = np.random.default_rng(0)
+    x, w = rand(rng, 3, 4), rand(rng, 4, 2)
+    c = constant(rng.normal(size=(3, 2)))
+    with Tape() as tape:
+        loss = asum(mul(gelu(matmul(x, w)), c))
+        tape.backward(loss)
+    assert [op.output.grad is None for op in tape.ops] == [True] * (len(tape.ops) - 1) + [False]
+    assert tape.ops[-1].output is loss and loss.grad.tolist() == [1.0]
+    assert x.grad is not None and w.grad is not None
+
+
+def test_an_input_never_keeps_the_gradient_its_op_was_handed():
+    x = parameter(np.array([3.0]))
+    with Tape() as tape:
+        loss = record_op(DiffArray(x.data.copy()), (x,), lambda g: (g,))
+        tape.backward(loss)
+    assert x.grad is not loss.grad and np.array_equal(x.grad, [1.0])
+
+
+def test_a_fresh_first_gradient_is_kept_without_a_copy():
+    x, y = parameter(np.ones((2, 3))), parameter(np.ones((2, 3)))
+    returned = {}
+
+    def bwd(g):
+        returned["fresh"], returned["view"] = g * 2.0, (g * 3.0).reshape(3, 2).reshape(2, 3)
+        return returned["fresh"], returned["view"]
+
+    with Tape() as tape:
+        tape.backward(asum(record_op(DiffArray(x.data + y.data), (x, y), bwd)))
+    assert x.grad is returned["fresh"]
+    assert y.grad is not returned["view"] and not np.shares_memory(y.grad, returned["view"])
+    assert np.array_equal(y.grad, np.full((2, 3), 3.0))
+
+
+def test_a_gradient_returned_twice_is_copied():
+    x, y = parameter(np.ones(4)), parameter(np.ones(4))
+    with Tape() as tape:
+        twice = np.full(4, 2.0)
+        tape.backward(asum(record_op(DiffArray(x.data + y.data), (x, y), lambda g: (twice, twice))))
+    assert x.grad is not twice and y.grad is not twice and x.grad is not y.grad
+    assert np.array_equal(x.grad, twice) and np.array_equal(y.grad, twice)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -639,3 +684,91 @@ def test_a_taped_op_leaves_at_most_its_output_allocated(make, outputs):
             tracemalloc.stop()
     assert tape.ops[-1].output is out
     assert left <= outputs * x.data.nbytes + x.data.nbytes // 16
+
+
+# each op's backward, and the whole-array buffers it may allocate besides the
+# gradients it returns, in input sizes: layernorm's g·x̂, which it sums for dgain
+BACKWARDS = {
+    "gelu": (lambda x: lambda: gelu(x), 0),
+    "layernorm": (_layernorm_op, 1),
+}
+
+
+@pytest.mark.parametrize("make, buffers", BACKWARDS.values(), ids=BACKWARDS)
+def test_a_backward_allocates_its_gradients_and_one_piece(make, buffers):
+    """Peak bytes the backward of an op on a (256, 512) parameter allocates:
+    the gradients it returns, its whole-array buffers and one piece of CHUNK
+    float64 scratch, with slack for the Python objects and per-row values."""
+    x = parameter(np.random.default_rng(3).normal(size=(256, 512)))
+    with Tape() as tape:
+        make(x)()
+    g = np.random.default_rng(4).normal(size=x.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = tape.ops[-1].backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    returned = np.sum([gi.nbytes for gi in grads])
+    assert peak <= returned + buffers * x.data.nbytes + CHUNK * 8 + x.data.nbytes // 16
+
+
+# ---------------------------------------------------------------------------
+# the pieced backwards: bitwise the whole-array expressions
+# ---------------------------------------------------------------------------
+
+
+def gelu_backward_reference(x, g):
+    x2 = x * x
+    t = np.tanh(_SQRT_2_OVER_PI * (x + _GELU_C * x2 * x))
+    du = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x2)
+    return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+
+
+def layernorm_backward_reference(x, gain, g, eps=1e-12):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    lead = tuple(range(g.ndim - 1))
+    dgain = (g * xhat).sum(axis=lead)
+    dbias = g.sum(axis=lead)
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, dgain, dbias
+
+
+PIECED_SHAPES = {
+    "several-pieces": (3, CHUNK // 3 + 5),
+    "3-d": (2, CHUNK // 96 + 1, 48),
+    "zero-size": (0, 8),
+    "one-row": (1, 40),
+    "rows-wider-than-a-chunk": (2, CHUNK + 3),
+}
+
+
+def backward_of(op, g, *arrays):
+    """The recorded backward of op on the arrays as parameters, applied to g."""
+    with Tape() as tape:
+        op(*(parameter(a) for a in arrays))
+    return tape.ops[-1].backward_fn(g)
+
+
+@pytest.mark.parametrize("shape", PIECED_SHAPES.values(), ids=PIECED_SHAPES)
+def test_pieced_gelu_backward_is_bitwise_the_whole_array_expression(shape):
+    rng = np.random.default_rng(5)
+    x, g = rng.normal(scale=3.0, size=shape), rng.normal(size=shape)
+    got, want = backward_of(gelu, g, x), gelu_backward_reference(x, g)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("shape", PIECED_SHAPES.values(), ids=PIECED_SHAPES)
+def test_pieced_layernorm_backward_is_bitwise_the_whole_array_expression(shape):
+    rng = np.random.default_rng(6)
+    d = shape[-1]
+    x, g, gain = rng.normal(loc=2.0, size=shape), rng.normal(size=shape), rng.normal(size=d)
+    got = backward_of(layernorm, g, x, gain, rng.normal(size=d))
+    want = layernorm_backward_reference(x, gain, g)
+    assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]

@@ -559,6 +559,17 @@ def test_trainstate_trainable_excludes_frozen(tiny_cfg, stage1_ckpt):
     assert any(p.startswith("cross_heads.") for p in state.trainable_paths)
 
 
+def test_zero_grad_keeps_a_parameter_bound_to_the_state_vector():
+    p = parameter(np.ones(3))
+    state = TrainState.fresh({"w": p}, "stage1")
+    for _ in range(2):  # the second zero_grad clears the first backward's gradient
+        p.zero_grad()
+        with Tape() as tape:
+            tape.backward(O.sum(O.mul(p, p)))
+        assert np.shares_memory(p.grad, state.grad)
+        assert np.array_equal(state.grad, [2.0, 2.0, 2.0])
+
+
 @pytest.mark.parametrize("stage", [1, 2])
 def test_trainable_parameters_are_views_of_the_state_vectors(tiny_cfg, tiny_data, stage1_ckpt, stage):
     train, _ = tiny_data
