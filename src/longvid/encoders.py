@@ -30,7 +30,10 @@ from .engine import ops as O
 
 
 def _ffn(x: DiffArray, p: dict) -> DiffArray:
-    return P.linear(O.gelu(P.linear(x, p["fc1"])), p["fc2"])
+    """fc2(gelu(fc1(x))); off the tape gelu writes into fc1's product, so
+    the layer holds one hidden-width buffer."""
+    h = P.linear(x, p["fc1"])
+    return P.linear(O.gelu(h, out=h), p["fc2"])
 
 
 def _block_params(rng: np.random.Generator, dim: int, heads: int, ffn_ratio: int, window: tuple[int, int, int] | None = None) -> dict:

@@ -11,7 +11,10 @@ flows through either.
 Each op has one forward, taped or not, and builds no full-size temporary:
 `gelu`, `layernorm` and `attention` write into one output they allocate and
 walk it in pieces of about CHUNK elements, `add(..., out=)` writes into an
-operand its caller owns, and `reshape` returns a view. A backward keeps
+operand its caller owns, and `reshape` returns a view. `gelu` shares add's
+`out` rule: `out`, if given, is the input, a result its caller's own op
+just allocated. Off the tape gelu writes into it; when a tape records it
+ignores `out`, since its backward reads the input. A backward keeps
 only what is costly to remake: `gelu` and `layernorm` recompute their
 elementwise values from the input, with the same operations on the same
 operands in the same order, so the gradients are those of kept values.
@@ -394,11 +397,18 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     return record_op(DiffArray(out), inputs, bwd)
 
 
-def gelu(x: DiffArray) -> DiffArray:
+def gelu(x: DiffArray, out: DiffArray | None = None) -> DiffArray:
     """tanh-form GELU, piece by piece into one new array; the backward
-    recomputes x² and the tanh from x, piece by piece into the gradient."""
+    recomputes x² and the tanh from x, piece by piece into the gradient.
+
+    out, if given, is x, as for `add`: a result its caller's own op just
+    allocated. Off the tape the result is written into x's buffer, each
+    piece's tanh term formed before its x is overwritten, and returned as a
+    new array. When a tape records, out is ignored: the backward reads x."""
+    if out is not None and out is not x:
+        raise ShapeError("gelu's out must be its input x")
     xd = x.data
-    out = np.empty_like(xd)
+    out = xd if out is not None and not _records((x,)) else np.empty_like(xd)
     flat, oflat = xd.reshape(-1), out.reshape(-1)
     scratch = np.empty(min(flat.size, CHUNK))
     for s in _pieces(flat.size, 1):

@@ -52,3 +52,36 @@ def test_equal_metric_rows_do_not_hide_unequal_parameters(alternate_steps, capsy
     out = capsys.readouterr().out
     assert "metric rows equal in every block: yes" in out
     assert "trained parameters bitwise equal in every block: no" in out
+
+
+def test_eval_alternates_retrieval_and_compares_reports_and_arrays(alternate_steps, capsys):
+    src = ROOT / "src"
+    assert alternate_steps.main(["--parent", str(src), "--change", str(src), "--op", "eval", "--blocks", "2", "--steps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "eval: 2 blocks of 1 calls per side" in out
+    assert "ms/call" in out
+    assert "retrieval reports equal in every block: yes" in out
+    assert "encode_eval arrays bitwise equal in every block: yes" in out
+
+
+def test_eval_tells_apart_unequal_encode_eval_arrays(alternate_steps, capsys, monkeypatch):
+    # A nudge too small to move any rank leaves the reports equal.
+    init = alternate_steps.Side.__init__
+
+    def init_with_nudged_arrays(self, src, name, stage):
+        init(self, src, name, stage)
+        if name == "longvid_change":
+            encode = self.pipeline.encode_eval
+
+            def nudged(*args):
+                paras, vids = encode(*args)
+                return paras + 1e-15, vids
+
+            self.pipeline.encode_eval = nudged
+
+    monkeypatch.setattr(alternate_steps.Side, "__init__", init_with_nudged_arrays)
+    src = ROOT / "src"
+    assert alternate_steps.main(["--parent", str(src), "--change", str(src), "--op", "eval", "--blocks", "1", "--steps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "retrieval reports equal in every block: yes" in out
+    assert "encode_eval arrays bitwise equal in every block: no" in out

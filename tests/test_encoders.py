@@ -2,6 +2,7 @@
 extraction, cross-modal joining, and the paper-shaped smoke test."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +24,13 @@ from longvid.encoders import (
     TextEncoder,
     VideoEncoder,
     _block,
+    _block_params,
+    _ffn,
     encode_pair,
 )
 from longvid.engine import ShapeError, Tape, constant, no_tape
 from longvid.engine import ops as O
-from longvid.engine.ops import count_multiply_adds
+from longvid.engine.ops import CHUNK, count_multiply_adds
 from longvid.params import flatten_params
 
 
@@ -340,6 +343,25 @@ def test_untaped_forward_is_the_taped_one_and_keeps_its_inputs(overlay):
         untaped = forward()
     assert untaped == taped
     assert digests([*params, ids, pad, patches]) == before
+
+
+def test_an_untaped_feed_forward_layer_holds_one_hidden_buffer():
+    """Peak bytes an untaped feed-forward layer on a (2048, 32) input with
+    ffn_ratio 4 allocates: gelu writes into fc1's product, so one hidden
+    buffer, the output and one piece of CHUNK float64 scratch, with slack
+    for the Python objects."""
+    rng = np.random.default_rng(8)
+    p = _block_params(rng, 32, 4, 4)
+    x = constant(rng.normal(size=(2048, 32)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = _ffn(x, p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    hidden = 4 * x.data.nbytes
+    assert peak <= hidden + out.data.nbytes + CHUNK * 8 + x.data.nbytes // 16
 
 
 # ---------------------------------------------------------------------------

@@ -593,10 +593,44 @@ def assert_untaped_equals_taped(op, *arrays):
     assert [a.tobytes() for a in arrays] == before
 
 
-@pytest.mark.parametrize("shape", [(7, 300), (CHUNK,), (CHUNK // 64, 64), (CHUNK + 1,), (3, CHUNK // 3 + 5)])
+GELU_SHAPES = [(7, 300), (CHUNK,), (CHUNK // 64, 64), (CHUNK + 1,), (3, CHUNK // 3 + 5)]
+
+
+@pytest.mark.parametrize("shape", GELU_SHAPES)
 def test_untaped_gelu_is_bitwise_the_taped_op(shape):
     x = np.random.default_rng(0).normal(scale=3.0, size=shape)
     assert_untaped_equals_taped(gelu, x)
+
+
+@pytest.mark.parametrize("shape", GELU_SHAPES)
+def test_untaped_gelu_out_writes_into_its_input(shape):
+    x = np.random.default_rng(0).normal(scale=3.0, size=shape)
+    want = gelu(constant(x.copy())).data
+    xa = constant(x)
+    got = gelu(xa, out=xa)
+    assert got is not xa and got.data is x
+    assert got.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", GELU_SHAPES)
+def test_taped_gelu_ignores_out(shape):
+    rng = np.random.default_rng(0)
+    x, g = rng.normal(scale=3.0, size=shape), rng.normal(size=shape)
+    grads = []
+    for out in (False, True):
+        xp = parameter(x.copy())
+        with Tape() as tape:
+            y = gelu(xp, out=xp if out else None)
+        assert not np.shares_memory(y.data, xp.data)
+        assert xp.data.tobytes() == x.tobytes()
+        grads.append((y.data.tobytes(), tape.ops[-1].backward_fn(g)[0].tobytes()))
+    assert grads[0] == grads[1]
+
+
+def test_gelu_out_must_be_its_input():
+    x = constant(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        gelu(x, out=constant(np.ones((2, 3))))
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import platform
 import resource
 import weakref
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -447,6 +447,19 @@ def test_eval_batch_size_independent(tiny_cfg, tiny_data):
     p2, v2 = encode_eval(model, train, batch_size=4)
     assert np.allclose(p1, p2, atol=1e-12)
     assert np.allclose(v1, v2, atol=1e-12)
+
+
+def test_encode_frozen_rows_are_bitwise_independent_of_the_batch_size():
+    from longvid.pipeline import encode_frozen
+
+    cfg = default_config()
+    _, eval_ = generate(replace(cfg.data, eval_samples=40), cfg.seed)
+    model = build_stage1_model(cfg, cfg.seed)
+    whole = encode_frozen(model, eval_, batch_size=len(eval_))
+    for batch_size in (1, 3, 16):
+        frozen = encode_frozen(model, eval_, batch_size=batch_size)
+        for f in fields(whole):
+            assert np.array_equal(getattr(frozen, f.name), getattr(whole, f.name)), (batch_size, f.name)
 
 
 def test_eval_empty_split_rejected(tiny_cfg):
