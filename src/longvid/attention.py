@@ -174,14 +174,19 @@ def window_merge(blocks: DiffArray, spec: WindowSpec, t: int, h: int, w: int) ->
 
 
 def relative_index_map(window: tuple[int, int, int]) -> np.ndarray:
-    """Pairwise relative-offset index for tokens of one (w, sh, sw) window."""
+    """Pairwise relative-offset index for tokens of one (w, sh, sw) window,
+    built in place: at most two (t, t) integer arrays exist at once."""
     w, sh, sw = window
-    coords = np.array([(t, i, j) for t in range(w) for i in range(sh) for j in range(sw)], dtype=np.int64)
-    delta = coords[:, None, :] - coords[None, :, :]
-    dt = delta[..., 0] + w - 1
-    dh = delta[..., 1] + sh - 1
-    dw = delta[..., 2] + sw - 1
-    return (dt * (2 * sh - 1) + dh) * (2 * sw - 1) + dw
+    ct, ci, cj = (c.reshape(-1) for c in np.indices(window, dtype=np.int64))  # (time, row, col) token order
+    idx = np.subtract.outer(ct, ct)
+    idx += w - 1
+    idx *= 2 * sh - 1
+    idx += np.subtract.outer(ci, ci)
+    idx += sh - 1
+    idx *= 2 * sw - 1
+    idx += np.subtract.outer(cj, cj)
+    idx += sw - 1
+    return idx
 
 
 def init_attention_params(rng: np.random.Generator, dim: int, heads: int, window: tuple[int, int, int] | None = None) -> dict:
@@ -234,7 +239,7 @@ def _window_bias(p: dict, spec: WindowSpec, h: int, w: int) -> DiffArray | None:
     if "rel_bias" not in p:
         return None
     idx = relative_index_map((spec.temporal, *spec.resolve_spatial(h, w)))
-    return O.transpose(O.take(p["rel_bias"], idx), (2, 0, 1))
+    return O.take(O.transpose(p["rel_bias"]), idx, axis=1)
 
 
 def multi_head_attention(x: DiffArray, p: dict, heads: int, add_mask: np.ndarray | None = None) -> DiffArray:
@@ -258,6 +263,29 @@ def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> At
     if squeeze:
         a = O.reshape(a, (T, H, W, C))
     return AttentionOutput(a=a, per_window=per_window, window_grid=window_counts(T, H, W, spec))
+
+
+def head_grouped_window_attention(windows: DiffArray, p: dict, heads: int, index: np.ndarray) -> DiffArray:
+    """Off the tape: attention inside each window of `windows` (..., t, dim),
+    already in window layout, with the relative-position bias looked up
+    through index = relative_index_map(window).
+
+    q, k and v are projected once. The attention op then runs once per group
+    of at most max(1, CHUNK // t²) heads, on those heads' columns, with the
+    group's (hg, t, t) bias taken straight from the table, so neither the
+    whole bias nor the probabilities of every head exist at once. Heads are
+    independent, so the result is bitwise that of `windowed_mha`'s core."""
+    q, k, v = (P.linear(windows, p, name) for name in "qkv")
+    dh = windows.shape[-1] // heads
+    group = max(1, O.CHUNK // index.size)
+    table = p["rel_bias"].data
+    parts = []
+    for h in range(0, heads, group):
+        cols = slice(h * dh, min(h + group, heads) * dh)
+        bias = np.take(table[:, h : h + group].T, index, axis=1)
+        parts.append(O.attention(*(DiffArray(a.data[..., cols]) for a in (q, k, v)), len(bias), bias))
+    context = parts[0] if len(parts) == 1 else O.concat(parts, axis=-1)
+    return P.linear(context, p, "o")
 
 
 def masked_full_attention_reference(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> DiffArray:

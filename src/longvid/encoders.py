@@ -18,10 +18,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import params as P
-from .attention import init_attention_params, multi_head_attention, windowed_mha
+from .attention import (
+    StageLayout,
+    head_grouped_window_attention,
+    init_attention_params,
+    multi_head_attention,
+    relative_index_map,
+    window_merge,
+    window_partition,
+    windowed_mha,
+)
 from .config import CLS_ID, DataConfig, ModelConfig
-from .engine import DiffArray, ShapeError
+from .engine import DiffArray, ShapeError, active_tape
 from .engine import ops as O
+
+# Hidden-width elements of one piece of whole windows in an untaped video
+# stage, in CHUNKs: 16 pieces at paper-shaped stage 0, one at the default
+# config.
+PIECE_CHUNKS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +70,21 @@ def _block(x: DiffArray, p: dict, attend) -> DiffArray:
     h = O.layernorm(x, p["ln2"]["g"], p["ln2"]["b"])
     f = _ffn(h, p)
     return O.add(x, f, out=f)
+
+
+def _blocks_in_pieces(windows: np.ndarray, st: StageLayout, blocks: list[dict], ffn_ratio: int) -> None:
+    """Off the tape: run each block of a stage, in turn, on pieces of whole
+    windows of `windows` (..., t, C), each of about PIECE_CHUNKS·CHUNK
+    elements of hidden width, and write each piece's output back into it.
+    Attention runs in head groups (`head_grouped_window_attention`)."""
+    index = relative_index_map(st.window)
+    rows = windows.reshape(-1, *windows.shape[-2:])
+    step = max(1, PIECE_CHUNKS * O.CHUNK // (rows[0].size * ffn_ratio))
+    for p in blocks:
+        for r in range(0, len(rows), step):
+            piece = rows[r : r + step]
+            out = _block(DiffArray(piece), p, lambda h, a: head_grouped_window_attention(h, a, st.stage.heads, index))
+            piece[...] = out.data
 
 
 def _key_mask_to_additive(allowed: np.ndarray) -> np.ndarray:
@@ -190,15 +219,22 @@ class VideoEncoder:
         r = O.transpose(r, (0, 1, 2, 4, 3, 5, 6))
         return O.reshape(r, (B, T, H // merge, W // merge, merge * merge * C))
 
-    def feature_maps(self, patches: DiffArray) -> list[DiffArray]:
-        """Trunk forward only: the per-stage output grids."""
+    def stage_grids(self, patches: DiffArray):
+        """The trunk forward, stage by stage: yields each stage's output grid.
+
+        When a tape records, each block runs `windowed_mha` on the grid, layer
+        by layer. Off the tape, a stage gathers its grid once into its own
+        window-layout copy, runs its blocks on pieces of it in place
+        (`_blocks_in_pieces`) and merges back to a grid once, at its exit.
+        Every op is row-local or window-local, so the values are bitwise the
+        taped path's. The taped path keeps grid order because the row order
+        sets the bits of the fc and layer-norm gradients' row sums."""
         B, T, H, W, C = patches.shape
         if T != self.frames or (H, W) != self.grid or C != self.patch_dim:
             raise ShapeError(
                 f"expected (B, {self.frames}, {self.grid[0]}, {self.grid[1]}, {self.patch_dim}) patches, got {patches.shape}"
             )
         x = patches
-        maps: list[DiffArray] = []
         for i, st in enumerate(self.layout):
             s, sp = st.stage, self.params["stages"][str(i)]
             if s.merge > 1:
@@ -207,16 +243,35 @@ class VideoEncoder:
                 x = P.linear(x, sp["merge"])
             if i == 0:
                 x = O.add(x, O.reshape(sp["space_emb"], (1, 1, *st.grid, s.dim)))
-            for j in range(s.layers):
-                x = _block(x, sp["blocks"][str(j)], lambda h, a: windowed_mha(h, st.spec, a, s.heads).a)
-            maps.append(x)
-        return maps
+            blocks = [sp["blocks"][str(j)] for j in range(s.layers)]
+            if active_tape() is not None:  # every parameter needs a gradient, so ops record
+                for p in blocks:
+                    x = _block(x, p, lambda h, a: windowed_mha(h, st.spec, a, s.heads).a)
+            else:
+                thw, windows = x.shape[1:4], window_partition(x, st.spec)
+                # A new copy, never a view of the grid: at a window spanning
+                # the grid the partition is one, and the blocks write into it.
+                x = DiffArray(windows.data.copy()) if np.may_share_memory(windows.data, x.data) else windows
+                del windows
+                _blocks_in_pieces(x.data, st, blocks, self.ffn_ratio)
+                x = window_merge(x, st.spec, *thw)
+            yield x
+
+    def feature_maps(self, patches: DiffArray) -> list[DiffArray]:
+        """Trunk forward only: the per-stage output grids."""
+        return list(self.stage_grids(patches))
 
     def forward(self, patches: DiffArray) -> VideoOutput:
-        maps = self.feature_maps(patches)
-        final = O.layernorm(maps[-1], self.params["ln_out"]["g"], self.params["ln_out"]["b"])
-
-        clip_map = maps[self.clip_stage]
+        # Only the clip-stage map and the last grid are kept: each other grid
+        # is dropped, so that the next stage frees it once it has read it.
+        grids = self.stage_grids(patches)
+        for i in range(len(self.layout)):
+            grid = next(grids)
+            if i == self.clip_stage:
+                clip_map = grid
+            if i < len(self.layout) - 1:
+                del grid
+        final = O.layernorm(grid, self.params["ln_out"]["g"], self.params["ln_out"]["b"])
         for _ in range(self.clip_pool_steps):
             clip_map = _mean_pool_2x2(clip_map)
         B, T, Hc, Wc, Dc = clip_map.shape

@@ -9,10 +9,12 @@ from longvid.attention import (
     StageSpec,
     WindowSchedule,
     WindowSpec,
+    _window_bias,
     init_attention_params,
     masked_full_attention_reference,
     multi_head_attention,
     receptive_field,
+    relative_index_map,
     window_merge,
     window_partition,
     windowed_mha,
@@ -223,6 +225,29 @@ def test_attention_records_one_op_for_its_core():
     with Tape() as tape:
         windowed_mha(parameter(rng.normal(size=(2, 4, 2, 2, 8))), WindowSpec(temporal=2, spatial=(1, 2)), p, 2)
     assert len(tape) == 17
+
+
+def test_window_bias_is_one_gather_bitwise_the_old_lookup():
+    # The old lookup gathered (t, t, heads) from the table, then transposed;
+    # one gather from the transposed table gives the same bits, value and
+    # table gradient alike.
+    rng = np.random.default_rng(10)
+    spec = WindowSpec(temporal=4, spatial=(2, 3))
+    p = make_params(rng, 12, 3, (4, 2, 3))
+    weights = rng.normal(size=(3, 24, 24))
+    lookups = {
+        "one gather": lambda: _window_bias(p, spec, 4, 6),
+        "gather, then transpose": lambda: O.transpose(O.take(p["rel_bias"], relative_index_map((4, 2, 3))), (2, 0, 1)),
+    }
+    results = {}
+    for name, lookup in lookups.items():
+        p["rel_bias"].grad = None
+        with Tape():
+            bias = lookup()
+            backward(O.sum(O.mul(bias, weights)))
+        results[name] = (bias.shape, bias.data.tobytes(), p["rel_bias"].grad.tobytes())
+    assert results["one gather"] == results["gather, then transpose"]
+    assert results["one gather"][0] == (3, 24, 24)
 
 
 def test_cross_window_perturbation_is_exactly_zero():

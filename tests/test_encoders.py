@@ -19,6 +19,7 @@ from longvid.config import (
 from longvid.attention import multi_head_attention
 from longvid.data import generate
 from longvid.encoders import (
+    PIECE_CHUNKS,
     ContrastiveHeads,
     CrossEncoder,
     TextEncoder,
@@ -314,8 +315,17 @@ UNTAPED_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("overlay", UNTAPED_CONFIGS.values(), ids=UNTAPED_CONFIGS)
-def test_untaped_forward_is_the_taped_one_and_keeps_its_inputs(overlay):
+# At CHUNK 64 the default config runs many pieces of windows and one-head
+# attention groups in every video stage.
+UNTAPED_CASES = [pytest.param(overlay, None, id=name) for name, overlay in UNTAPED_CONFIGS.items()] + [
+    pytest.param(overlay, 64, id=f"{name}-chunk64") for name, overlay in UNTAPED_CONFIGS.items()
+]
+
+
+@pytest.mark.parametrize("overlay, chunk", UNTAPED_CASES)
+def test_untaped_forward_is_the_taped_one_and_keeps_its_inputs(overlay, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(O, "CHUNK", chunk)
     cfg = build_config(merge_config_dict(overlay))
     rng = np.random.default_rng(7)
     text, video, cross = (E(cfg.model, cfg.data, rng) for E in (TextEncoder, VideoEncoder, CrossEncoder))
@@ -362,6 +372,48 @@ def test_an_untaped_feed_forward_layer_holds_one_hidden_buffer():
         tracemalloc.stop()
     hidden = 4 * x.data.nbytes
     assert peak <= hidden + out.data.nbytes + CHUNK * 8 + x.data.nbytes // 16
+
+
+def test_an_untaped_video_forward_holds_two_grids_a_piece_and_a_head_group(monkeypatch):
+    """Peak bytes of an untaped video forward whose stage-0 grid (32 frames
+    at 16 x 16, width 32) is large and whose last window holds 512 tokens,
+    at a CHUNK of 1024: 32 pieces of windows at stage 0 and one-head groups
+    at the last stage. The bound is two stage-0 grids (the stage's window
+    copy and the grid it merges back to), one piece (its hidden buffer and
+    as much again for its width-32 arrays), the last window's relative index
+    map and one head group's bias and probabilities, plus a quarter grid of
+    slack. Holding a stage's copies layer by layer, or every head's bias and
+    probabilities of the last window, exceeds it."""
+    monkeypatch.setattr(O, "CHUNK", 1024)
+    overlay = {
+        "data": {"patch_rows": 16, "patch_cols": 16},
+        "model": {
+            "video": {
+                "stages": [
+                    {"layers": 2, "dim": 32, "heads": 4, "temporal_window": 2, "merge": 1, "spatial_window": [4, 4]},
+                    {"layers": 1, "dim": 32, "heads": 4, "temporal_window": 8, "merge": 2, "spatial_window": [4, 4]},
+                    {"layers": 1, "dim": 32, "heads": 4, "temporal_window": 32, "merge": 2},
+                ]
+            }
+        },
+    }
+    cfg = build_config(merge_config_dict(overlay))
+    rng = np.random.default_rng(9)
+    video = VideoEncoder(cfg.model, cfg.data, rng)
+    patches = constant(make_patches(cfg, rng, batch=1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with no_tape():
+            video.forward(patches)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    grid = 32 * 16 * 16 * 32 * 8
+    piece = 2 * PIECE_CHUNKS * O.CHUNK * 8
+    window = 512 * 512 * 8  # one (t, t) array of the last window
+    assert max(1, O.CHUNK // 512**2) == 1
+    assert peak <= 2 * grid + piece + 3 * window + grid // 4
 
 
 # ---------------------------------------------------------------------------
