@@ -174,19 +174,14 @@ def window_merge(blocks: DiffArray, spec: WindowSpec, t: int, h: int, w: int) ->
 
 
 def relative_index_map(window: tuple[int, int, int]) -> np.ndarray:
-    """Pairwise relative-offset index for tokens of one (w, sh, sw) window,
-    built in place: at most two (t, t) integer arrays exist at once."""
+    """Pairwise relative-offset index for tokens of one (w, sh, sw) window."""
     w, sh, sw = window
-    ct, ci, cj = (c.reshape(-1) for c in np.indices(window, dtype=np.int64))  # (time, row, col) token order
-    idx = np.subtract.outer(ct, ct)
-    idx += w - 1
-    idx *= 2 * sh - 1
-    idx += np.subtract.outer(ci, ci)
-    idx += sh - 1
-    idx *= 2 * sw - 1
-    idx += np.subtract.outer(cj, cj)
-    idx += sw - 1
-    return idx
+    coords = np.array([(t, i, j) for t in range(w) for i in range(sh) for j in range(sw)], dtype=np.int64)
+    delta = coords[:, None, :] - coords[None, :, :]
+    dt = delta[..., 0] + w - 1
+    dh = delta[..., 1] + sh - 1
+    dw = delta[..., 2] + sw - 1
+    return (dt * (2 * sh - 1) + dh) * (2 * sw - 1) + dw
 
 
 def init_attention_params(rng: np.random.Generator, dim: int, heads: int, window: tuple[int, int, int] | None = None) -> dict:
@@ -226,9 +221,12 @@ class AttentionOutput:
 
 
 def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | np.ndarray | None) -> DiffArray:
-    """The one attention core: project q, k and v from x (..., n, dim), run
-    one attention op over the heads and project back. bias is the op's one
-    additive input: a learned DiffArray, a constant mask or None."""
+    """The attention core: project q, k and v from x (..., n, dim), run one
+    attention op over the heads and project back. bias is the op's one
+    additive input: a learned DiffArray, a constant mask or None. Every
+    attention layer runs it except the untaped video trunk, which runs the
+    same steps with the op split into head groups
+    (`head_grouped_window_attention`)."""
     q, k, v = (P.linear(x, p, name) for name in "qkv")
     return P.linear(O.attention(q, k, v, heads, bias), p, "o")
 
@@ -238,8 +236,15 @@ def _window_bias(p: dict, spec: WindowSpec, h: int, w: int) -> DiffArray | None:
     grid, if p has a table."""
     if "rel_bias" not in p:
         return None
-    idx = relative_index_map((spec.temporal, *spec.resolve_spatial(h, w)))
-    return O.take(O.transpose(p["rel_bias"]), idx, axis=1)
+    return _table_bias(p["rel_bias"], relative_index_map((spec.temporal, *spec.resolve_spatial(h, w))))
+
+
+def _table_bias(table: DiffArray, index: np.ndarray) -> DiffArray:
+    """The (heads, t, t) bias of a (rows, heads) relative-position table, or
+    of some of its head columns, looked up through index =
+    relative_index_map(window): one gather from the transposed table, so no
+    full-size transposed copy of the bias is made."""
+    return O.take(O.transpose(table), index, axis=1)
 
 
 def multi_head_attention(x: DiffArray, p: dict, heads: int, add_mask: np.ndarray | None = None) -> DiffArray:
@@ -282,8 +287,8 @@ def head_grouped_window_attention(windows: DiffArray, p: dict, heads: int, index
     parts = []
     for h in range(0, heads, group):
         cols = slice(h * dh, min(h + group, heads) * dh)
-        bias = np.take(table[:, h : h + group].T, index, axis=1)
-        parts.append(O.attention(*(DiffArray(a.data[..., cols]) for a in (q, k, v)), len(bias), bias))
+        bias = _table_bias(DiffArray(table[:, h : h + group]), index)
+        parts.append(O.attention(*(DiffArray(a.data[..., cols]) for a in (q, k, v)), bias.shape[0], bias))
     context = parts[0] if len(parts) == 1 else O.concat(parts, axis=-1)
     return P.linear(context, p, "o")
 
