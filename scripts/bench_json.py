@@ -1,13 +1,16 @@
 """Collect interleaved benchmark runs of a parent and a change into one JSON file.
 
     python3 scripts/bench_json.py --parent <parent checkout>/perfbench/results \
-        --change perfbench/results --out BENCH_11.json
+        --change <change checkout>/perfbench/results --out BENCH_11.json
 
 Reads the `<workload>-seed<n>-trace<t>.json` files that perfbench/run.py
-writes in each directory. For every workload it pairs the parent's and the
-change's untraced runs by seed and reports, per end-to-end metric, both
-medians, the median of the per-seed change/parent ratios and the number of
-seeds on which the change is better. Traced runs, paired by seed the same
+writes in each directory. Both directories are required: perfbench/run.py
+never clears its results directory, so run each side from a clean checkout,
+or earlier runs of the same seeds get paired with the new ones. For every
+workload it pairs the parent's and the change's untraced runs by seed and
+reports, per end-to-end metric, both medians, the median of the per-seed
+change/parent ratios and the number of seeds on which the change is
+better. Traced runs, paired by seed the same
 way, give the per-layer values of both sides per seed, and a `summary` over
 all traced pairs: per metric both medians, the median ratio and the pair
 count. Machine info (cores, Python, numpy and its BLAS) is that of the
@@ -109,7 +112,7 @@ def per_layer(parent: dict, change: dict) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True, help="results directory of the parent's runs")
-    ap.add_argument("--change", type=Path, default=ROOT / "perfbench" / "results", help="results directory of the change's runs")
+    ap.add_argument("--change", type=Path, required=True, help="results directory of the change's runs")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 

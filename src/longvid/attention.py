@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import params as P
-from .engine import DiffArray
+from .engine import DiffArray, active_tape
 from .engine import ops as O
 
 
@@ -205,16 +205,6 @@ def init_attention_params(rng: np.random.Generator, dim: int, heads: int, window
     return p
 
 
-@dataclass
-class AttentionOutput:
-    """Windowed attention result: the reassembled grid plus the per-window
-    pieces before concatenation (kept for locality tests)."""
-
-    a: DiffArray
-    per_window: DiffArray  # (B, windows, tokens_per_window, C)
-    window_grid: tuple[int, int, int] = field(default=(1, 1, 1))  # (nt, nh, nw)
-
-
 # ---------------------------------------------------------------------------
 # attention forward paths
 # ---------------------------------------------------------------------------
@@ -224,19 +214,10 @@ def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | np.ndarray | None)
     """The attention core: project q, k and v from x (..., n, dim), run one
     attention op over the heads and project back. bias is the op's one
     additive input: a learned DiffArray, a constant mask or None. Every
-    attention layer runs it except the untaped video trunk, which runs the
-    same steps with the op split into head groups
-    (`head_grouped_window_attention`)."""
+    attention layer runs it; off the tape, `windowed_mha` splits the op into
+    head groups when one window's scores of every head exceed a CHUNK."""
     q, k, v = (P.linear(x, p, name) for name in "qkv")
     return P.linear(O.attention(q, k, v, heads, bias), p, "o")
-
-
-def _window_bias(p: dict, spec: WindowSpec, h: int, w: int) -> DiffArray | None:
-    """The (heads, t, t) relative-position bias of one window of an h x w
-    grid, if p has a table."""
-    if "rel_bias" not in p:
-        return None
-    return _table_bias(p["rel_bias"], relative_index_map((spec.temporal, *spec.resolve_spatial(h, w))))
 
 
 def _table_bias(table: DiffArray, index: np.ndarray) -> DiffArray:
@@ -253,52 +234,38 @@ def multi_head_attention(x: DiffArray, p: dict, heads: int, add_mask: np.ndarray
     return _mha(x, p, heads, add_mask)
 
 
-def windowed_mha(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> AttentionOutput:
-    """Multi-head attention computed independently inside each window.
+def windowed_mha(windows: DiffArray, p: dict, heads: int, index: np.ndarray) -> DiffArray:
+    """Attention inside each window of `windows` (..., t, dim), already in
+    window layout (`window_partition`), with the relative-position bias
+    looked up through index = relative_index_map(window).
 
-    tokens: (B, T, H, W, C) or an unbatched (T, H, W, C) grid.
-    """
-    squeeze = tokens.ndim == 4
-    if squeeze:
-        tokens = O.reshape(tokens, (1, *tokens.shape))
-    B, T, H, W, C = tokens.shape
-    xw = window_partition(tokens, spec)  # (B, nW, t, C)
-    per_window = _mha(xw, p, heads, _window_bias(p, spec, H, W))
-    a = window_merge(per_window, spec, T, H, W)
-    if squeeze:
-        a = O.reshape(a, (T, H, W, C))
-    return AttentionOutput(a=a, per_window=per_window, window_grid=window_counts(T, H, W, spec))
-
-
-def head_grouped_window_attention(windows: DiffArray, p: dict, heads: int, index: np.ndarray) -> DiffArray:
-    """Off the tape: attention inside each window of `windows` (..., t, dim),
-    already in window layout, with the relative-position bias looked up
-    through index = relative_index_map(window).
-
-    q, k and v are projected once. The attention op then runs once per group
-    of at most max(1, CHUNK // t²) heads, on those heads' columns, with the
-    group's (hg, t, t) bias taken straight from the table, so neither the
-    whole bias nor the probabilities of every head exist at once. Heads are
-    independent, so the result is bitwise that of `windowed_mha`'s core."""
+    When a tape records, or when one window's scores of every head fit in a
+    CHUNK, this is `_mha` with the whole (heads, t, t) bias. Off the tape,
+    q, k and v are otherwise projected once and the attention op runs once
+    per group of max(1, CHUNK // t²) heads, on those heads' columns, with
+    the group's (hg, t, t) bias taken straight from the table, so neither
+    the whole bias nor the probabilities of every head exist at once. Heads
+    are independent, so both give the same bits."""
+    group = max(1, O.CHUNK // index.size)
+    if active_tape() is not None or group >= heads:
+        return _mha(windows, p, heads, _table_bias(p["rel_bias"], index))
     q, k, v = (P.linear(windows, p, name) for name in "qkv")
     dh = windows.shape[-1] // heads
-    group = max(1, O.CHUNK // index.size)
-    table = p["rel_bias"].data
     parts = []
     for h in range(0, heads, group):
         cols = slice(h * dh, min(h + group, heads) * dh)
-        bias = _table_bias(DiffArray(table[:, h : h + group]), index)
+        bias = _table_bias(DiffArray(p["rel_bias"].data[:, h : h + group]), index)
         parts.append(O.attention(*(DiffArray(a.data[..., cols]) for a in (q, k, v)), bias.shape[0], bias))
-    context = parts[0] if len(parts) == 1 else O.concat(parts, axis=-1)
-    return P.linear(context, p, "o")
+    return P.linear(O.concat(parts, axis=-1), p, "o")
 
 
 def masked_full_attention_reference(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> DiffArray:
     """Oracle path: full attention over the flattened grid with an additive
     cross-window mask, added to the relative bias placed block-locally; the
-    sum is the attention op's one bias. Must match windowed_mha elementwise.
-    It shares the projections and the attention op with it; the mask, not
-    the window partition, keeps each token's attention inside its window.
+    sum is the attention op's one bias. Must match window_partition,
+    windowed_mha and window_merge elementwise. It shares the projections and
+    the attention op with them; the mask, not the window partition, keeps
+    each token's attention inside its window.
     """
     squeeze = tokens.ndim == 4
     if squeeze:
@@ -315,11 +282,10 @@ def masked_full_attention_reference(tokens: DiffArray, spec: WindowSpec, p: dict
     for b in range(nwin):
         bias[b * t : (b + 1) * t, b * t : (b + 1) * t] = 0.0
 
-    block = _window_bias(p, spec, H, W)
-    if block is not None:
-        zero = O.scale(block, 0.0)
-        rows = [O.concat([block if j == i else zero for j in range(nwin)], axis=2) for i in range(nwin)]
-        bias = O.add(O.concat(rows, axis=1), bias)  # (heads, n, n)
+    block = _table_bias(p["rel_bias"], relative_index_map((spec.temporal, *spec.resolve_spatial(H, W))))
+    zero = O.scale(block, 0.0)
+    rows = [O.concat([block if j == i else zero for j in range(nwin)], axis=2) for i in range(nwin)]
+    bias = O.add(O.concat(rows, axis=1), bias)  # (heads, n, n)
 
     out = _mha(flat, p, heads, bias)
     merged = window_merge(O.reshape(out, (B, nwin, t, C)), spec, T, H, W)

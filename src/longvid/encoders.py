@@ -20,7 +20,6 @@ import numpy as np
 from . import params as P
 from .attention import (
     StageLayout,
-    head_grouped_window_attention,
     init_attention_params,
     multi_head_attention,
     relative_index_map,
@@ -72,19 +71,28 @@ def _block(x: DiffArray, p: dict, attend) -> DiffArray:
     return O.add(x, f, out=f)
 
 
-def _blocks_in_pieces(windows: np.ndarray, st: StageLayout, blocks: list[dict], ffn_ratio: int) -> None:
-    """Off the tape: run each block of a stage, in turn, on pieces of whole
-    windows of `windows` (..., t, C), each of about PIECE_CHUNKS·CHUNK
-    elements of hidden width, and write each piece's output back into it.
-    Attention runs in head groups (`head_grouped_window_attention`)."""
+def _blocks_in_pieces(windows: DiffArray, st: StageLayout, blocks: list[dict], ffn_ratio: int) -> DiffArray:
+    """Run each block of a stage, in turn, on its windows (..., t, C),
+    attending through `windowed_mha`. A tape gets all windows in one piece.
+    Off the tape, each block runs on pieces of whole windows, each of about
+    PIECE_CHUNKS·CHUNK elements of hidden width, and writes each piece's
+    output back into it, so the result is `windows` itself."""
     index = relative_index_map(st.window)
-    rows = windows.reshape(-1, *windows.shape[-2:])
+
+    def attend(h: DiffArray, a: dict) -> DiffArray:
+        return windowed_mha(h, a, st.stage.heads, index)
+
+    if active_tape() is not None:
+        for p in blocks:
+            windows = _block(windows, p, attend)
+        return windows
+    rows = windows.data.reshape(-1, *windows.shape[-2:])
     step = max(1, PIECE_CHUNKS * O.CHUNK // (rows[0].size * ffn_ratio))
     for p in blocks:
         for r in range(0, len(rows), step):
             piece = rows[r : r + step]
-            out = _block(DiffArray(piece), p, lambda h, a: head_grouped_window_attention(h, a, st.stage.heads, index))
-            piece[...] = out.data
+            piece[...] = _block(DiffArray(piece), p, attend).data
+    return windows
 
 
 def _key_mask_to_additive(allowed: np.ndarray) -> np.ndarray:
@@ -222,13 +230,12 @@ class VideoEncoder:
     def stage_grids(self, patches: DiffArray):
         """The trunk forward, stage by stage: yields each stage's output grid.
 
-        When a tape records, each block runs `windowed_mha` on the grid, layer
-        by layer. Off the tape, a stage gathers its grid once into its own
-        window-layout copy, runs its blocks on pieces of it in place
-        (`_blocks_in_pieces`) and merges back to a grid once, at its exit.
-        Every op is row-local or window-local, so the values are bitwise the
-        taped path's. The taped path keeps grid order because the row order
-        sets the bits of the fc and layer-norm gradients' row sums."""
+        Each stage gathers its grid once into (B, windows, t, C) window
+        layout, runs its blocks on that layout (`_blocks_in_pieces`) and
+        merges back to a grid once, at its exit. Every op of a block is
+        row-local or window-local, so the values are those of attention run
+        on the grid window by window, taped or not; a tape's gradient row
+        sums run in window order."""
         B, T, H, W, C = patches.shape
         if T != self.frames or (H, W) != self.grid or C != self.patch_dim:
             raise ShapeError(
@@ -244,17 +251,14 @@ class VideoEncoder:
             if i == 0:
                 x = O.add(x, O.reshape(sp["space_emb"], (1, 1, *st.grid, s.dim)))
             blocks = [sp["blocks"][str(j)] for j in range(s.layers)]
-            if active_tape() is not None:  # every parameter needs a gradient, so ops record
-                for p in blocks:
-                    x = _block(x, p, lambda h, a: windowed_mha(h, st.spec, a, s.heads).a)
-            else:
-                thw, windows = x.shape[1:4], window_partition(x, st.spec)
-                # A new copy, never a view of the grid: at a window spanning
-                # the grid the partition is one, and the blocks write into it.
-                x = DiffArray(windows.data.copy()) if np.may_share_memory(windows.data, x.data) else windows
-                del windows
-                _blocks_in_pieces(x.data, st, blocks, self.ffn_ratio)
-                x = window_merge(x, st.spec, *thw)
+            thw, windows = x.shape[1:4], window_partition(x, st.spec)
+            # Off the tape the blocks write into the windows, so they are a
+            # new copy, never a view of the grid, as they are at a window
+            # spanning the grid.
+            copy = active_tape() is None and np.may_share_memory(windows.data, x.data)
+            x = DiffArray(windows.data.copy()) if copy else windows
+            del windows
+            x = window_merge(_blocks_in_pieces(x, st, blocks, self.ffn_ratio), st.spec, *thw)
             yield x
 
     def feature_maps(self, patches: DiffArray) -> list[DiffArray]:

@@ -9,7 +9,7 @@ from longvid.attention import (
     StageSpec,
     WindowSchedule,
     WindowSpec,
-    _window_bias,
+    _table_bias,
     init_attention_params,
     masked_full_attention_reference,
     multi_head_attention,
@@ -21,7 +21,7 @@ from longvid.attention import (
 )
 from longvid.cli import EXIT_CONFIG, main
 from longvid.costmodel import attention_flops
-from longvid.engine import Tape, backward, check_gradients, constant, parameter
+from longvid.engine import Tape, backward, check_gradients, constant, no_tape, parameter
 from longvid.engine import ops as O
 
 
@@ -31,6 +31,19 @@ def make_params(rng, dim, heads, window):
 
 def token_grid(rng, t, h, w, c):
     return constant(rng.normal(size=(t, h, w, c)))
+
+
+def grid_attention(tokens, spec, p, heads):
+    """The chain the video trunk runs on a (B, T, H, W, C) grid, or an
+    unbatched (T, H, W, C) one: window_partition, windowed_mha on the window
+    layout, window_merge."""
+    squeeze = tokens.ndim == 4
+    if squeeze:
+        tokens = O.reshape(tokens, (1, *tokens.shape))
+    B, T, H, W, C = tokens.shape
+    index = relative_index_map((spec.temporal, *spec.resolve_spatial(H, W)))
+    out = window_merge(windowed_mha(window_partition(tokens, spec), p, heads, index), spec, T, H, W)
+    return O.reshape(out, (T, H, W, C)) if squeeze else out
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +112,14 @@ def test_single_window_single_head_orthonormal_rows():
         "bv": constant(np.zeros(d)),
         "wo": constant(np.eye(d)),
         "bo": constant(np.zeros(d)),
+        "rel_bias": constant(np.zeros((2 * d - 1, 1))),
     }
-    out = windowed_mha(tokens, WindowSpec(temporal=d), p, heads=1)
+    out = grid_attention(tokens, WindowSpec(temporal=d), p, heads=1)
     scale = 1.0 / np.sqrt(d)
     row = np.exp(scale * np.eye(d))
     probs = row / row.sum(axis=1, keepdims=True)
     expected = probs @ np.eye(d)
-    assert np.abs(out.a.data.reshape(d, d) - expected).max() < 1e-12
+    assert np.abs(out.data.reshape(d, d) - expected).max() < 1e-12
 
 
 def numpy_attention(x, p, heads, bias=None, keys=None):
@@ -170,7 +184,7 @@ def test_windowed_attention_matches_numpy_with_relative_bias(seed):
                 x = grid[block].reshape(-1, dim)
                 expected[block] = numpy_attention(x, p, heads, bias=bias).reshape(wt, sh, sw, dim)
     spec = WindowSpec(temporal=wt, spatial=(sh, sw))
-    assert np.abs(windowed_mha(constant(grid), spec, p, heads).a.data - expected).max() < 1e-12
+    assert np.abs(grid_attention(constant(grid), spec, p, heads).data - expected).max() < 1e-12
     assert np.abs(masked_full_attention_reference(constant(grid), spec, p, heads).data - expected).max() < 1e-12
 
 
@@ -198,7 +212,34 @@ def test_windowed_attention_gradients_by_finite_differences(seed):
     spec = WindowSpec(temporal=2, spatial=(1, 2))
     p = random_attention_params(rng, dim, heads, window=(2, 1, 2))
     x = rng.normal(size=(B, T, H, W, dim))
-    check_attention_gradients(lambda x, a: windowed_mha(x, spec, a, heads).a, x, p, seed)
+    check_attention_gradients(lambda x, a: grid_attention(x, spec, a, heads), x, p, seed)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_head_grouped_attention_gradients_by_finite_differences(seed, monkeypatch):
+    # At a CHUNK of one window's scores the untaped numeric side attends in
+    # one-head groups, while the taped analytic side runs one attention op
+    # over both heads: the grouped forward must be the function whose
+    # gradient the taped rule computes.
+    monkeypatch.setattr(O, "CHUNK", 16)
+    rng = np.random.default_rng(seed)
+    B, T, H, W, dim, heads = 2, 4, 2, 2, 6, 2
+    spec = WindowSpec(temporal=2, spatial=(1, 2))
+    p = random_attention_params(rng, dim, heads, window=(2, 1, 2))
+    x = rng.normal(size=(B, T, H, W, dim))
+    groups, attention = [], O.attention
+
+    def counted(q, k, v, group_heads, bias):
+        groups.append(group_heads)
+        return attention(q, k, v, group_heads, bias)
+
+    monkeypatch.setattr(O, "attention", counted)
+    with no_tape():
+        grid_attention(constant(x), spec, p, heads)
+    with Tape():
+        grid_attention(parameter(x), spec, p, heads)
+    assert groups == [1, 1, 2]
+    check_attention_gradients(lambda x, a: grid_attention(x, spec, a, heads), x, p, seed)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -223,7 +264,7 @@ def test_attention_records_one_op_for_its_core():
         multi_head_attention(parameter(rng.normal(size=(2, 5, 8))), p, 2, np.zeros((2, 1, 1, 5)))
     assert len(tape) == 9
     with Tape() as tape:
-        windowed_mha(parameter(rng.normal(size=(2, 4, 2, 2, 8))), WindowSpec(temporal=2, spatial=(1, 2)), p, 2)
+        grid_attention(parameter(rng.normal(size=(2, 4, 2, 2, 8))), WindowSpec(temporal=2, spatial=(1, 2)), p, 2)
     assert len(tape) == 17
 
 
@@ -236,7 +277,7 @@ def test_window_bias_is_one_gather_bitwise_the_old_lookup():
     p = make_params(rng, 12, 3, (4, 2, 3))
     weights = rng.normal(size=(3, 24, 24))
     lookups = {
-        "one gather": lambda: _window_bias(p, spec, 4, 6),
+        "one gather": lambda: _table_bias(p["rel_bias"], relative_index_map((4, 2, 3))),
         "gather, then transpose": lambda: O.transpose(O.take(p["rel_bias"], relative_index_map((4, 2, 3))), (2, 0, 1)),
     }
     results = {}
@@ -255,10 +296,10 @@ def test_cross_window_perturbation_is_exactly_zero():
     p = make_params(rng, 8, 2, (2, 2, 2))
     spec = WindowSpec(temporal=2)
     base = rng.normal(size=(4, 2, 2, 8))
-    out0 = windowed_mha(constant(base), spec, p, heads=2).a.data
+    out0 = grid_attention(constant(base), spec, p, heads=2).data
     bumped = base.copy()
     bumped[0, 0, 0, :] += 10.0  # token in window 0
-    out1 = windowed_mha(constant(bumped), spec, p, heads=2).a.data
+    out1 = grid_attention(constant(bumped), spec, p, heads=2).data
     assert np.array_equal(out0[2:], out1[2:])  # window 1 bit-identical
     assert not np.array_equal(out0[:2], out1[:2])
 
@@ -269,7 +310,7 @@ def test_windowed_equals_masked_full_attention(seed):
     p = make_params(rng, 12, 3, (2, 2, 2))
     spec = WindowSpec(temporal=2, spatial=(2, 2))
     grid = token_grid(rng, 6, 4, 2, 12)
-    a = windowed_mha(grid, spec, p, heads=3).a
+    a = grid_attention(grid, spec, p, heads=3)
     ref = masked_full_attention_reference(grid, spec, p, heads=3)
     assert np.abs(a.data - ref.data).max() < 1e-9
 
@@ -279,25 +320,14 @@ def test_window_permutation_consistency():
     p = make_params(rng, 8, 2, (2, 1, 1))
     spec = WindowSpec(temporal=2)
     base = rng.normal(size=(6, 1, 1, 8))
-    out = windowed_mha(constant(base), spec, p, heads=2).a.data
+    out = grid_attention(constant(base), spec, p, heads=2).data
     # Swap temporal windows 0 and 2 (blocks of 2 frames).
     perm = base.copy()
     perm[[0, 1, 4, 5]] = base[[4, 5, 0, 1]]
-    out_perm = windowed_mha(constant(perm), spec, p, heads=2).a.data
+    out_perm = grid_attention(constant(perm), spec, p, heads=2).data
     expected = out.copy()
     expected[[0, 1, 4, 5]] = out[[4, 5, 0, 1]]
     assert np.array_equal(out_perm, expected)
-
-
-def test_per_window_pieces_concatenate_to_output():
-    rng = np.random.default_rng(6)
-    p = make_params(rng, 8, 2, (2, 2, 2))
-    spec = WindowSpec(temporal=2)
-    grid = token_grid(rng, 4, 2, 2, 8)
-    res = windowed_mha(grid, spec, p, heads=2)
-    assert res.per_window.shape == (1, 2, 8, 8)
-    first = res.per_window.data[0, 0].reshape(2, 2, 2, 8)
-    assert np.array_equal(first, res.a.data[:2])
 
 
 def test_windowed_mha_rejects_head_mismatch():
@@ -305,7 +335,7 @@ def test_windowed_mha_rejects_head_mismatch():
     p = make_params(rng, 8, 2, (2, 1, 1))
     grid = token_grid(rng, 4, 1, 1, 8)
     with pytest.raises(Exception, match="divisible"):
-        windowed_mha(grid, WindowSpec(temporal=2), p, heads=3)
+        grid_attention(grid, WindowSpec(temporal=2), p, heads=3)
 
 
 @pytest.mark.parametrize("pairs_seed", range(3))
@@ -320,7 +350,7 @@ def test_cross_window_jacobian_zero_by_gradient(pairs_seed):
         c = int(rng.integers(6))
         x.zero_grad()
         with Tape():
-            out = windowed_mha(x, spec, p, heads=2).a
+            out = grid_attention(x, spec, p, heads=2)
             entry = O.take(O.reshape(out, (6, 6)), np.array([t_out]), axis=0)
             backward(O.sum(O.take(O.transpose(entry), np.array([c]), axis=0)))
         assert np.allclose(x.grad[:3], 0.0)
@@ -370,8 +400,8 @@ def test_receptive_field_matches_perturbation_through_stacked_layers():
     sched = _schedule([2, 4])
 
     def forward(x):
-        y = windowed_mha(x, WindowSpec(temporal=2), p1, heads=2).a
-        return windowed_mha(y, WindowSpec(temporal=4), p2, heads=2).a
+        y = grid_attention(x, WindowSpec(temporal=2), p1, heads=2)
+        return grid_attention(y, WindowSpec(temporal=4), p2, heads=2)
 
     base = rng.normal(size=(8, 1, 1, 6))
     out0 = forward(constant(base)).data

@@ -52,3 +52,15 @@ def test_per_layer_summary_spans_every_traced_pair(bench_json, tmp_path):
     assert (e2e["parent_median"], e2e["change_median"], e2e["change_better"], e2e["pairs"]) == (2.0, 3.0, 3, 3)
     assert e2e["median_ratio"] == pytest.approx(1.5)
     assert "pretrain" not in doc["per_layer"] and "pretrain" not in doc["end_to_end"]
+
+
+def test_the_change_directory_is_required(bench_json, tmp_path, capsys):
+    # No default: perfbench/run.py never clears its results directory, so a
+    # default would pair stale runs of the same seeds with new ones.
+    write_run(tmp_path / "parent", "verify", 0, 0, {"eval_items_per_s": 1.0})
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as e:
+        bench_json.main(["--parent", str(tmp_path / "parent"), "--out", str(out)])
+    assert e.value.code == 2
+    assert "--change" in capsys.readouterr().err
+    assert not out.exists()

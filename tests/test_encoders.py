@@ -355,6 +355,24 @@ def test_untaped_forward_is_the_taped_one_and_keeps_its_inputs(overlay, chunk, m
     assert digests([*params, ids, pad, patches]) == before
 
 
+@pytest.mark.parametrize("layers, ops", [(1, 144), (2, 244)])
+def test_a_taped_video_stage_gathers_and_merges_once(layers, ops):
+    """A taped video forward on the default schedule with `layers` blocks in
+    every stage. Each stage gathers its grid into window layout once and
+    merges it back once, so a second block in each of the five stages adds
+    only its own 20 ops."""
+    stages = [
+        {"layers": layers, "dim": s.dim, "heads": s.heads, "temporal_window": s.temporal_window, "merge": s.merge}
+        for s in default_config().model.video.stages
+    ]
+    cfg = build_config(merge_config_dict({"model": {"video": {"stages": stages}}}))
+    rng = np.random.default_rng(11)
+    video = VideoEncoder(cfg.model, cfg.data, rng)
+    with Tape() as tape:
+        video.forward(constant(make_patches(cfg, rng)))
+    assert len(tape) == ops
+
+
 def test_an_untaped_feed_forward_layer_holds_one_hidden_buffer():
     """Peak bytes an untaped feed-forward layer on a (2048, 32) input with
     ffn_ratio 4 allocates: gelu writes into fc1's product, so one hidden
