@@ -101,7 +101,9 @@ class Tape:
         backward that adds to it until its producer's backward has run. The
         loss and every leaf (parameters, inputs) keep theirs. `_accumulate`
         learns which returned gradients are fresh: neither the op's `g` nor
-        returned twice by it.
+        returned twice by it. Each visited op's record drops its `inputs` and
+        `backward_fn`, so what a backward kept (attention's probabilities,
+        say) dies once it has run; `output` and `replays` stay.
         """
         if loss.size != 1:
             raise EngineError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -111,11 +113,13 @@ class Tape:
             if op.replays:
                 raise EngineError("tape op replayed more than once")
             op.replays += 1
-            g = op.output.grad
+            g, backward_fn, inputs = op.output.grad, op.backward_fn, op.inputs
+            op.backward_fn = op.inputs = None
             if g is None:
                 continue  # not reachable from this loss
-            grads = op.backward_fn(g)
-            for inp, gi in zip(op.inputs, grads):
+            grads = backward_fn(g)
+            del backward_fn  # and with it what the op kept for its backward
+            for inp, gi in zip(inputs, grads):
                 if gi is not None and inp.requires_grad:
                     inp._accumulate(gi, fresh=gi is not g and sum(x is gi for x in grads) == 1)
             if op.output is not loss:

@@ -21,9 +21,14 @@ operands in the same order, so the gradients are those of kept values.
 Their backwards are pieced like their forwards: each writes into the
 gradient it allocates, piece by piece, with one piece of scratch, and
 `layernorm` keeps g·x̂ whole only to sum it for the gain's gradient.
+`attention` keeps only its probabilities: it splits q, v and g into heads
+as strided views, and makes kᵀ's contiguous per-head copy where a product
+reads it, once in the forward and once more in the backward.
 
 A backward returns new arrays it does not keep: `Tape.backward` keeps such
 a first gradient without a copy, and adds later gradients into it in place.
+Once it has replayed an op, it drops the op's backward, and with it what
+the backward kept.
 """
 
 from __future__ import annotations
@@ -319,6 +324,45 @@ def softmax(x: DiffArray, axis: int = -1) -> DiffArray:
     return record_op(out, (x,), bwd)
 
 
+# The longest rows, in keys, whose max `_row_max` takes column by column.
+_ROW_MAX_KEYS = 32
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True), exactly: NaN wins, and a ±0 tie may
+    keep either sign, which a softmax's exp maps to the same 1.
+
+    numpy reduces each row in its own inner loop, about 75 ns a row, so over
+    many short rows the max is taken one key column at a time with
+    np.maximum, about 0.6 µs a column, over rows in pieces of about CHUNK
+    elements so that each piece stays in cache across its columns. On one
+    Intel Xeon core with numpy 2.4, against x.max on 32 Ki to 4 Mi
+    elements, the columns took 0.05-0.09x the time at 4 keys, 0.26-0.36x at
+    16, 0.68-0.80x at 32 and 0.93-1.04x at 33; on few rows they broke even
+    at about 60 rows for 2 keys, 100 for 8 and 400 for 32. So rows of more
+    than 32 keys, or fewer than 16 rows a key, keep x.max."""
+    n = x.shape[-1]
+    rows = x.reshape(-1, n)
+    if n > _ROW_MAX_KEYS or len(rows) < 16 * n:
+        return x.max(axis=-1, keepdims=True)
+    m = np.empty(len(rows))
+    for p in _pieces(len(rows), n):
+        columns, mp = rows[p].T, m[p]
+        np.copyto(mp, columns[0])
+        for column in columns[1:]:
+            np.maximum(mp, column, out=mp)
+    return m.reshape(*x.shape[:-1], 1)
+
+
+def _operand(x: np.ndarray) -> DiffArray:
+    """A constant over x as it is, strided or not, without DiffArray's
+    contiguity copy: an operand of a product inside an op, never recorded
+    and never returned."""
+    c = DiffArray.__new__(DiffArray)
+    c.data, c.grad, c.requires_grad = x, None, False
+    return c
+
+
 def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffArray | np.ndarray | None = None) -> DiffArray:
     """Multi-head softmax attention as one op.
 
@@ -327,14 +371,18 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     heads are joined back to (..., n, dim). bias, broadcastable to the
     (..., heads, n, n) scores, is a learned DiffArray or a constant mask,
     lifted by `as_diff`. Both products go through `matmul` off the tape, so
-    they are counted like any other. Off the tape, the forward walks the
-    flattened leading axes in pieces of about CHUNK elements of q or of the
-    scores, works in place on each piece's scores buffer and writes each
-    piece's context into one output. The bias is broadcast to q's leading
-    dims, one row per row of q (a view wherever the strides allow), and
-    sliced with every piece. When a tape records, the op runs one piece over
-    the whole leading shape, whose backward keeps its per-head q, kᵀ and v
-    and its probabilities and recomputes nothing.
+    they are counted like any other. q, v and the backward's g enter their
+    products as strided per-head views; kᵀ is a contiguous per-head copy,
+    made where a product reads it and dropped after, since its layout sets
+    the last bits of q·kᵀ and of q's gradient. The row max over a short key
+    axis is `_row_max`. Off the tape, the forward walks the flattened
+    leading axes in pieces of about CHUNK elements of q or of the scores,
+    works in place on each piece's scores buffer and writes each piece's
+    context into one output. The bias is broadcast to q's leading dims, one
+    row per row of q (a view wherever the strides allow), and sliced with
+    every piece. When a tape records, the op runs one piece over the whole
+    leading shape. Besides its inputs, its backward keeps only the
+    probabilities, and recomputes nothing.
     """
     dim = q.shape[-1]
     if heads < 1 or dim % heads:
@@ -342,14 +390,18 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     dh = dim // heads
     s = 1.0 / math.sqrt(dh)
 
-    def heads_of(x: np.ndarray, n_axis: int = -2) -> np.ndarray:
-        """(..., n, dim) -> (..., heads, n, dh), or (..., heads, dh, n) with n_axis=-1."""
-        return np.ascontiguousarray(np.moveaxis(x.reshape(*x.shape[:-1], heads, dh), -3, n_axis))
+    def heads_of(x: np.ndarray) -> np.ndarray:
+        """(..., n, dim) -> a (..., heads, n, dh) view."""
+        return x.reshape(*x.shape[:-1], heads, dh).swapaxes(-3, -2)
 
-    def joined(x: np.ndarray, n_axis: int = -2) -> np.ndarray:
-        """The inverse of heads_of. Contiguous: a gradient's layout sets the
-        order of later sums over it, and so their last bits."""
-        x = np.ascontiguousarray(np.moveaxis(x, n_axis, -3))
+    def keys_t(x: np.ndarray) -> np.ndarray:
+        """(..., n, dim) -> a contiguous (..., heads, dh, n) copy."""
+        return np.ascontiguousarray(heads_of(x).swapaxes(-2, -1))
+
+    def joined(x: np.ndarray) -> np.ndarray:
+        """(..., heads, n, dh) -> (..., n, dim). Contiguous: a gradient's
+        layout sets the order of later sums over it, and so their last bits."""
+        x = np.ascontiguousarray(x.swapaxes(-3, -2))
         return x.reshape(*x.shape[:-2], dim)
 
     if bias is not None:
@@ -370,28 +422,25 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
             b = np.broadcast_to(b, (*lead, *tail)).reshape(rows, *tail)
     qs, ks, vs, outs = views
     for p in pieces:
-        qh, kt = heads_of(qs[p]), heads_of(ks[p], -1)
-        probs = matmul(DiffArray(qh), DiffArray(kt)).data
+        probs = matmul(_operand(heads_of(qs[p])), _operand(keys_t(ks[p]))).data
         probs *= s
         if b is not None:
             probs += b[p]
-        probs -= probs.max(axis=-1, keepdims=True)
+        probs -= _row_max(probs)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        vh = heads_of(vs[p])
-        context = matmul(DiffArray(probs), DiffArray(vh)).data
-        outs[p].reshape(*context.shape[:-3], n, heads, dh)[...] = np.moveaxis(context, -3, -2)
+        heads_of(outs[p])[...] = matmul(_operand(probs), _operand(heads_of(vs[p]))).data
 
-    # recorded only after the one whole piece, whose qh, kt, vh and probs it reads
+    # recorded only after the one whole piece, whose probs it reads
     def bwd(g):
         g = heads_of(g)
-        gp = np.matmul(g, np.swapaxes(vh, -1, -2))
-        gv = joined(np.matmul(np.swapaxes(probs, -1, -2), g)) if v.requires_grad else None
+        gp = np.matmul(g, heads_of(v.data).swapaxes(-1, -2))
+        gv = joined(np.matmul(probs.swapaxes(-1, -2), g)) if v.requires_grad else None
         gp = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
         gbias = _unbroadcast(gp, bias.shape) if bias is not None and bias.requires_grad else None
         gp = gp * s
-        gq = joined(np.matmul(gp, np.swapaxes(kt, -1, -2))) if q.requires_grad else None
-        gk = joined(np.matmul(np.swapaxes(qh, -1, -2), gp), -1) if k.requires_grad else None
+        gq = joined(np.matmul(gp, keys_t(k.data).swapaxes(-1, -2))) if q.requires_grad else None
+        gk = joined(np.matmul(heads_of(q.data).swapaxes(-1, -2), gp).swapaxes(-1, -2)) if k.requires_grad else None
         return (gq, gk, gv, gbias)[: len(inputs)]
 
     return record_op(DiffArray(out), inputs, bwd)

@@ -1,6 +1,8 @@
 """Engine contracts: op semantics, finite-difference gradients, tape rules."""
 
+import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +37,8 @@ from longvid.engine import (
     take,
     transpose,
 )
-from longvid.engine.ops import _GELU_C, _SQRT_2_OVER_PI, CHUNK
+from longvid.engine import ops
+from longvid.engine.ops import _GELU_C, _ROW_MAX_KEYS, _SQRT_2_OVER_PI, CHUNK, _pieces, _records, _row_max, _unbroadcast, as_diff
 
 SEEDS = range(10)
 
@@ -675,6 +678,156 @@ def test_attention_rejects_a_head_count_below_one(heads):
     with pytest.raises(ShapeError) as e:
         attention(q, q, q, heads)
     assert str(e.value) == f"dim 4 not divisible by heads {heads}"
+
+
+# ---------------------------------------------------------------------------
+# the copy-free attention op: bitwise the copying one it replaced
+# ---------------------------------------------------------------------------
+
+
+def copying_attention(q, k, v, heads, bias=None):
+    """The attention op as it was before it split heads into views: per-head
+    contiguous copies of q, kᵀ and v, kept by the backward, and probs.max."""
+    dim = q.shape[-1]
+    dh = dim // heads
+    s = 1.0 / math.sqrt(dh)
+
+    def heads_of(x, n_axis=-2):
+        return np.ascontiguousarray(np.moveaxis(x.reshape(*x.shape[:-1], heads, dh), -3, n_axis))
+
+    def joined(x, n_axis=-2):
+        x = np.ascontiguousarray(np.moveaxis(x, n_axis, -3))
+        return x.reshape(*x.shape[:-2], dim)
+
+    if bias is not None:
+        bias = as_diff(bias)
+    inputs = (q, k, v) if bias is None else (q, k, v, bias)
+    b = None if bias is None else bias.data
+    n = q.shape[-2]
+    out = np.empty(q.shape)
+    views = (q.data, k.data, v.data, out)
+    pieces = [...]
+    if not _records(inputs):
+        lead = q.shape[:-2]
+        rows = math.prod(lead)
+        views = tuple(x.reshape(rows, n, dim) for x in views)
+        pieces = _pieces(rows, n * max(dim, heads * n))
+        if b is not None:
+            tail = (1, 1, 1, *b.shape)[-3:]
+            b = np.broadcast_to(b, (*lead, *tail)).reshape(rows, *tail)
+    qs, ks, vs, outs = views
+    for p in pieces:
+        qh, kt = heads_of(qs[p]), heads_of(ks[p], -1)
+        probs = matmul(DiffArray(qh), DiffArray(kt)).data
+        probs *= s
+        if b is not None:
+            probs += b[p]
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        vh = heads_of(vs[p])
+        context = matmul(DiffArray(probs), DiffArray(vh)).data
+        outs[p].reshape(*context.shape[:-3], n, heads, dh)[...] = np.moveaxis(context, -3, -2)
+
+    def bwd(g):
+        g = heads_of(g)
+        gp = np.matmul(g, np.swapaxes(vh, -1, -2))
+        gv = joined(np.matmul(np.swapaxes(probs, -1, -2), g)) if v.requires_grad else None
+        gp = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+        gbias = _unbroadcast(gp, bias.shape) if bias is not None and bias.requires_grad else None
+        gp = gp * s
+        gq = joined(np.matmul(gp, np.swapaxes(kt, -1, -2))) if q.requires_grad else None
+        gk = joined(np.matmul(np.swapaxes(qh, -1, -2), gp), -1) if k.requires_grad else None
+        return (gq, gk, gv, gbias)[: len(inputs)]
+
+    return record_op(DiffArray(out), inputs, bwd)
+
+
+# (lead, n, dim, heads): the default dims at each key count, then shapes at
+# which a strided kᵀ changed the last bits of q·kᵀ or of q's gradient
+COPY_FREE_SHAPES = [((6, 5), n, 32, 4) for n in (4, 8, 16, 32, 33, 65)] + [
+    ((512,), 30, 128, 4),
+    ((64,), 60, 256, 8),
+    ((4,), 50, 1024, 16),
+    ((8,), 32, 32, 4),
+]
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 1024], ids=["chunk", "small-chunk"])
+@pytest.mark.parametrize("bias_kind", ["relative", "key-mask"])
+@pytest.mark.parametrize("lead, n, dim, heads", COPY_FREE_SHAPES, ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else str(x))
+def test_attention_is_bitwise_the_copying_op(lead, n, dim, heads, bias_kind, chunk, monkeypatch):
+    monkeypatch.setattr(ops, "CHUNK", chunk)
+    rng = np.random.default_rng(n + dim)
+    qkv = [rng.normal(size=(*lead, n, dim)) for _ in range(3)]
+    if bias_kind == "relative":
+        bias = rng.normal(size=(heads, n, n))
+    else:
+        bias = np.where(rng.random((*lead, 1, 1, n)) < 0.3, -1e9, 0.0)
+        bias[..., 0] = 0.0  # every query keeps one key
+    g = rng.normal(size=qkv[0].shape)
+    results = []
+    for op in (attention, copying_attention):
+        untaped = op(*(constant(a) for a in qkv), heads, bias)
+        params = [parameter(a) for a in qkv]
+        with Tape() as tape:
+            taped = op(*params, heads, parameter(bias) if bias_kind == "relative" else bias)
+        grads = tape.ops[-1].backward_fn(g)
+        results.append([untaped.data.tobytes(), taped.data.tobytes()] + [gi.tobytes() for gi in grads if gi is not None])
+    assert len(results[0]) == (6 if bias_kind == "relative" else 5)
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, _ROW_MAX_KEYS, _ROW_MAX_KEYS + 1, 65])
+@pytest.mark.parametrize("many", [True, False], ids=["many-rows", "few-rows"])
+def test_row_max_is_the_max_on_nan_infinities_and_signed_zero_ties(n, many):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(3, CHUNK // n + 7, n) if many else (2, 3, n))  # several pieces of rows, or fewer than 16 a key
+    special = rng.integers(0, 6, size=x.shape)
+    for code, value in enumerate((np.nan, np.inf, -np.inf, 0.0, -0.0), start=1):
+        x[special == code] = value
+    x[0, :3] = [[0.0] * n, [-0.0] * n, [0.0, -0.0] * (n // 2) + [0.0] * (n % 2)]
+    got, want = _row_max(x), x.max(axis=-1, keepdims=True)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_a_taped_attention_op_keeps_its_output_and_probabilities():
+    """Bytes a taped attention op leaves allocated while its output and the
+    tape live: the output and the (…, heads, n, n) probabilities, with slack
+    for the Python objects and the record. Per-head copies of q, kᵀ and v
+    would add three output sizes."""
+    rng = np.random.default_rng(7)
+    q, k, v = (parameter(rng.normal(size=(8, 16, 8, 32))) for _ in range(3))
+    with Tape() as tape:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = attention(q, k, v, 4)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    probs = 8 * 16 * 4 * 8 * 8 * 8
+    assert tape.ops[-1].output is out
+    assert left <= out.data.nbytes + probs + out.data.nbytes // 16
+
+
+def test_backward_drops_each_replayed_record():
+    rng = np.random.default_rng(8)
+    x = rand(rng, 3, 4, 8)
+    held = np.ones(x.shape)
+    with Tape() as tape:
+        y = record_op(DiffArray(x.data * 2.0), (x,), lambda g, held=held: (g * held,))
+        loss = asum(attention(y, y, y, 2))
+    bwd = tape.ops[1].backward_fn
+    kept = [weakref.ref(held), weakref.ref(bwd.__closure__[bwd.__code__.co_freevars.index("probs")].cell_contents)]
+    del held, bwd
+    tape.backward(loss)
+    assert all(ref() is None for ref in kept)
+    assert all(op.backward_fn is None and op.inputs is None and op.replays == 1 for op in tape.ops)
+    assert tape.ops[-1].output is loss and x.grad is not None
+    with pytest.raises(EngineError, match="tape op replayed more than once"):
+        tape.backward(loss)
 
 
 # ---------------------------------------------------------------------------

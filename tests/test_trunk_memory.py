@@ -1,7 +1,8 @@
-"""scripts/trunk_memory.py on the default config."""
+"""scripts/trunk_memory.py on the default config, off the tape and taped."""
 
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 
 from longvid.config import default_config
 from longvid.encoders import VideoEncoder
-from longvid.engine import constant, no_tape
+from longvid.engine import Tape, constant, no_tape
+from longvid.engine import sum as asum
+from longvid.params import flatten_params
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "trunk_memory.py"
 
@@ -22,15 +25,20 @@ def trunk_memory():
     return module
 
 
+def default_video(seed):
+    cfg = default_config()
+    rng = np.random.default_rng(seed)
+    video = VideoEncoder(cfg.model, cfg.data, rng)
+    d = cfg.data
+    return video, constant(rng.normal(size=(1, d.frames, d.patch_rows, d.patch_cols, d.patch_dim)))
+
+
 def test_it_prints_each_stage_and_the_digests_of_the_forward(trunk_memory, capsys):
     assert trunk_memory.main(["--base", "default"]) == 0
     lines = capsys.readouterr().out.splitlines()
 
-    cfg = default_config()
-    rng = np.random.default_rng(trunk_memory.SEED)
-    video = VideoEncoder(cfg.model, cfg.data, rng)
-    d = cfg.data
-    patches = constant(rng.normal(size=(1, d.frames, d.patch_rows, d.patch_cols, d.patch_dim)))
+    video, patches = default_video(trunk_memory.SEED)
+    d = default_config().data
     with no_tape():
         out = video.forward(patches)
 
@@ -51,3 +59,26 @@ def test_an_override_reaches_the_config_and_a_bad_one_exits_2(trunk_memory, caps
         trunk_memory.main(["--base", "default", "--set", "model.nope=1"])
     assert e.value.code == 2
     assert "model.nope: unknown key" in capsys.readouterr().err
+
+
+def test_taped_it_counts_each_stage_and_digests_the_gradients(trunk_memory, capsys):
+    assert trunk_memory.main(["--base", "default", "--taped"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    video, patches = default_video(trunk_memory.SEED)
+    with Tape() as tape:
+        out = video.forward(patches)
+        loss = asum(out.video_feat)
+    tape.backward(loss)
+    grads = hashlib.sha256(b"".join(p.grad.tobytes() for p in flatten_params(video.params).values()))
+
+    rows = [re.search(r"(\d+) ops, op outputs ([\d.]+) MiB, op-private ([\d.]+) MiB$", line) for line in lines[1:]]
+    rows = [[float(x) for x in row.groups()] for row in rows if row]
+    assert len(rows) == len(video.layout) + 1  # the stages and the tail
+    assert sum(ops for ops, _, _ in rows) == len(tape)
+    assert all(outputs > 0 and private > 0 for _, outputs, private in rows[:-1])  # each stage's probabilities
+    assert any(line.startswith("forward: traced ") for line in lines)
+    assert any(line.startswith("backward: traced high-water ") for line in lines)
+    assert f"sha256 grads: {grads.hexdigest()}" in lines
+    for name in ("clip_feats", "video_feat", "feature_map"):
+        assert f"sha256 {name}: {hashlib.sha256(getattr(out, name).data.tobytes()).hexdigest()}" in lines
