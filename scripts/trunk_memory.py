@@ -36,6 +36,7 @@ import hashlib
 import resource
 import sys
 import tracemalloc
+from types import FunctionType
 
 import numpy as np
 
@@ -57,15 +58,26 @@ def _buffer(a: np.ndarray) -> np.ndarray:
 
 
 def _held(backward_fn) -> list[np.ndarray]:
-    """The arrays a recorded backward's closure holds: cells that are arrays
-    or DiffArrays, or tuples and lists of them."""
-    held = []
-    for cell in backward_fn.__closure__ or ():
-        value = cell.cell_contents
-        for x in value if isinstance(value, (tuple, list)) else (value,):
-            x = x.data if isinstance(x, DiffArray) else x
-            if isinstance(x, np.ndarray):
-                held.append(x)
+    """The arrays a recorded backward holds: through its closure's cells,
+    looking into DiffArrays, tuples, lists, dict values and the closures of
+    the functions it holds (a wrapped backward's, say), each object once.
+    Attributes of other objects are not searched."""
+    held, seen, todo = [], set(), [backward_fn]
+    while todo:  # a stack: a recursive closure would be a cycle keeping `held` alive
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, DiffArray):
+            value = value.data
+        if isinstance(value, np.ndarray):
+            held.append(value)
+        elif isinstance(value, (tuple, list)):
+            todo.extend(value)
+        elif isinstance(value, dict):
+            todo.extend(value.values())
+        elif isinstance(value, FunctionType):
+            todo.extend(cell.cell_contents for cell in value.__closure__ or ())
     return held
 
 

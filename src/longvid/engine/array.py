@@ -1,11 +1,14 @@
 """Dense float64 arrays with a dynamic reverse-mode differentiation tape.
 
-Values live in contiguous row-major numpy buffers. Every differentiable
-operation records itself on the innermost active tape; ``Tape.backward``
-replays the records once, in exact reverse order, accumulating gradients
-additively into each array's ``grad`` buffer and releasing each
-intermediate gradient once the op that produced it has used it. With no
-tape active, ops run forward-only and allocate nothing for gradients.
+Values live in contiguous row-major numpy buffers, save the unrecorded
+constants `ops.attention` builds over strided per-head views to hand to
+`ops.matmul` (at least 3-d, so `matmul` never reshapes them). Every
+differentiable operation records itself on the innermost active tape;
+``Tape.backward`` replays the records once, in exact reverse order,
+accumulating gradients additively into each array's ``grad`` buffer and
+releasing each intermediate gradient once the op that produced it has used
+it. With no tape active, ops run forward-only and allocate nothing for
+gradients.
 """
 
 from __future__ import annotations

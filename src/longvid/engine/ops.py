@@ -191,6 +191,8 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
     the rows of one GEMM, forward and backward, so the weight gradient is a
     single (d_in, d_out) product rather than a batch of them summed down.
     The backward skips the product of an operand that needs no gradient.
+    An operand may be a strided view: `attention` hands over ≥3-d per-head
+    views (see `_operand`), which the batched branch reads as they are.
     """
     a, b = as_diff(a), as_diff(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -324,40 +326,13 @@ def softmax(x: DiffArray, axis: int = -1) -> DiffArray:
     return record_op(out, (x,), bwd)
 
 
-# The longest rows, in keys, whose max `_row_max` takes column by column.
-_ROW_MAX_KEYS = 32
-
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """x.max(axis=-1, keepdims=True), exactly: NaN wins, and a ±0 tie may
-    keep either sign, which a softmax's exp maps to the same 1.
-
-    numpy reduces each row in its own inner loop, about 75 ns a row, so over
-    many short rows the max is taken one key column at a time with
-    np.maximum, about 0.6 µs a column, over rows in pieces of about CHUNK
-    elements so that each piece stays in cache across its columns. On one
-    Intel Xeon core with numpy 2.4, against x.max on 32 Ki to 4 Mi
-    elements, the columns took 0.05-0.09x the time at 4 keys, 0.26-0.36x at
-    16, 0.68-0.80x at 32 and 0.93-1.04x at 33; on few rows they broke even
-    at about 60 rows for 2 keys, 100 for 8 and 400 for 32. So rows of more
-    than 32 keys, or fewer than 16 rows a key, keep x.max."""
-    n = x.shape[-1]
-    rows = x.reshape(-1, n)
-    if n > _ROW_MAX_KEYS or len(rows) < 16 * n:
-        return x.max(axis=-1, keepdims=True)
-    m = np.empty(len(rows))
-    for p in _pieces(len(rows), n):
-        columns, mp = rows[p].T, m[p]
-        np.copyto(mp, columns[0])
-        for column in columns[1:]:
-            np.maximum(mp, column, out=mp)
-    return m.reshape(*x.shape[:-1], 1)
-
-
 def _operand(x: np.ndarray) -> DiffArray:
     """A constant over x as it is, strided or not, without DiffArray's
     contiguity copy: an operand of a product inside an op, never recorded
-    and never returned."""
+    and never returned. At least 3-d, so that `matmul` hands it to
+    np.matmul as it is and never reshapes it, which would copy a view."""
+    if x.ndim < 3:
+        raise ShapeError(f"an unrecorded operand needs >=3 dims, got {x.shape}")
     c = DiffArray.__new__(DiffArray)
     c.data, c.grad, c.requires_grad = x, None, False
     return c
@@ -374,15 +349,14 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     they are counted like any other. q, v and the backward's g enter their
     products as strided per-head views; kᵀ is a contiguous per-head copy,
     made where a product reads it and dropped after, since its layout sets
-    the last bits of q·kᵀ and of q's gradient. The row max over a short key
-    axis is `_row_max`. Off the tape, the forward walks the flattened
-    leading axes in pieces of about CHUNK elements of q or of the scores,
-    works in place on each piece's scores buffer and writes each piece's
-    context into one output. The bias is broadcast to q's leading dims, one
-    row per row of q (a view wherever the strides allow), and sliced with
-    every piece. When a tape records, the op runs one piece over the whole
-    leading shape. Besides its inputs, its backward keeps only the
-    probabilities, and recomputes nothing.
+    the last bits of q·kᵀ and of q's gradient. Off the tape, the forward
+    walks the flattened leading axes in pieces of about CHUNK elements of q
+    or of the scores, works in place on each piece's scores buffer and
+    writes each piece's context into one output. The bias is broadcast to
+    q's leading dims, one row per row of q (a view wherever the strides
+    allow), and sliced with every piece. When a tape records, the op runs
+    one piece over the whole leading shape. Besides its inputs, its backward
+    keeps only the probabilities, and recomputes nothing.
     """
     dim = q.shape[-1]
     if heads < 1 or dim % heads:
@@ -426,7 +400,7 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
         probs *= s
         if b is not None:
             probs += b[p]
-        probs -= _row_max(probs)
+        probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
         heads_of(outs[p])[...] = matmul(_operand(probs), _operand(heads_of(vs[p]))).data

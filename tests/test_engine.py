@@ -38,7 +38,7 @@ from longvid.engine import (
     transpose,
 )
 from longvid.engine import ops
-from longvid.engine.ops import _GELU_C, _ROW_MAX_KEYS, _SQRT_2_OVER_PI, CHUNK, _pieces, _records, _row_max, _unbroadcast, as_diff
+from longvid.engine.ops import _GELU_C, _SQRT_2_OVER_PI, CHUNK, _pieces, _records, _unbroadcast, as_diff
 
 SEEDS = range(10)
 
@@ -687,7 +687,7 @@ def test_attention_rejects_a_head_count_below_one(heads):
 
 def copying_attention(q, k, v, heads, bias=None):
     """The attention op as it was before it split heads into views: per-head
-    contiguous copies of q, kᵀ and v, kept by the backward, and probs.max."""
+    contiguous copies of q, kᵀ and v, kept by the backward."""
     dim = q.shape[-1]
     dh = dim // heads
     s = 1.0 / math.sqrt(dh)
@@ -776,20 +776,6 @@ def test_attention_is_bitwise_the_copying_op(lead, n, dim, heads, bias_kind, chu
         results.append([untaped.data.tobytes(), taped.data.tobytes()] + [gi.tobytes() for gi in grads if gi is not None])
     assert len(results[0]) == (6 if bias_kind == "relative" else 5)
     assert results[0] == results[1]
-
-
-@pytest.mark.parametrize("n", [1, 2, 8, _ROW_MAX_KEYS, _ROW_MAX_KEYS + 1, 65])
-@pytest.mark.parametrize("many", [True, False], ids=["many-rows", "few-rows"])
-def test_row_max_is_the_max_on_nan_infinities_and_signed_zero_ties(n, many):
-    rng = np.random.default_rng(n)
-    x = rng.normal(size=(3, CHUNK // n + 7, n) if many else (2, 3, n))  # several pieces of rows, or fewer than 16 a key
-    special = rng.integers(0, 6, size=x.shape)
-    for code, value in enumerate((np.nan, np.inf, -np.inf, 0.0, -0.0), start=1):
-        x[special == code] = value
-    x[0, :3] = [[0.0] * n, [-0.0] * n, [0.0, -0.0] * (n // 2) + [0.0] * (n % 2)]
-    got, want = _row_max(x), x.max(axis=-1, keepdims=True)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_a_taped_attention_op_keeps_its_output_and_probabilities():

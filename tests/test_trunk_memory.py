@@ -10,7 +10,7 @@ import pytest
 
 from longvid.config import default_config
 from longvid.encoders import VideoEncoder
-from longvid.engine import Tape, constant, no_tape
+from longvid.engine import DiffArray, Tape, attention, constant, no_tape, parameter, record_op
 from longvid.engine import sum as asum
 from longvid.params import flatten_params
 
@@ -82,3 +82,33 @@ def test_taped_it_counts_each_stage_and_digests_the_gradients(trunk_memory, caps
     assert f"sha256 grads: {grads.hexdigest()}" in lines
     for name in ("clip_feats", "video_feat", "feature_map"):
         assert f"sha256 {name}: {hashlib.sha256(getattr(out, name).data.tobytes()).hexdigest()}" in lines
+
+
+def test_the_census_of_one_attention_op_is_its_output_and_probabilities(trunk_memory):
+    rng = np.random.default_rng(3)
+    lead, n, dim, heads = (2, 5), 16, 32, 4
+    q, k, v = (parameter(rng.normal(size=(*lead, n, dim))) for _ in range(3))
+    with Tape() as tape:
+        attention(q, k, v, heads)
+    assert trunk_memory.tape_census(tape.ops, [len(tape)]) == [(2 * 5 * n * dim * 8, 2 * 5 * heads * n * n * 8)]
+
+
+def test_the_census_finds_arrays_a_wrapped_backward_holds(trunk_memory):
+    """Through a nested closure and a dict, each buffer once, and not the
+    op's input or a view of its output."""
+    x = parameter(np.ones((4, 8)))
+    out = DiffArray(np.zeros((4, 8)))
+    kept, extra = np.ones((3, 8)), np.ones((5, 8))
+    with Tape() as tape:
+
+        def inner(g):
+            return (g * kept[0, 0] * extra[0, 0] * x.data,)
+
+        state = {"scratch": extra, "views": [kept[1:], out.data[:2]]}
+
+        def wrapped(g):
+            assert state
+            return inner(g)
+
+        record_op(out, (x,), wrapped)
+    assert trunk_memory.tape_census(tape.ops, [len(tape)]) == [(out.data.nbytes, kept.nbytes + extra.nbytes)]
