@@ -19,9 +19,11 @@ With --taped, the forward records on a tape and the loss is the sum of
 recorded, the bytes of their distinct output buffers (a view counts with
 the buffer it views, once) and their op-private bytes: arrays that the
 recorded backwards hold and that are no op's output or input, such as the
-attention op's probabilities. Then it prints the bytes traced as held after
-the forward, the backward's traced high-water and a sha256 of the
-parameter gradients, in `flatten_params` order.
+attention op's probabilities. Then it splits the forward's op-output bytes
+by the kind of op that produced each buffer (the name its recorded
+backward is defined in: matmul, layernorm, attention, ...), and prints the
+bytes traced as held after the forward, the backward's traced high-water
+and a sha256 of the parameter gradients, in `flatten_params` order.
 
 Last come the process's `ru_maxrss` and a sha256 of each output
 (`clip_feats`, `video_feat` and `feature_map`). The per-stage figures come
@@ -104,6 +106,21 @@ def tape_census(ops, ends: list[int]) -> list[tuple[int, int]]:
     return census
 
 
+def output_bytes_by_kind(ops) -> dict[str, int]:
+    """Distinct op-output bytes of the ops, by the kind of the first op whose
+    output reaches each buffer, as `tape_census` counts them: the name of the
+    function its recorded backward is defined in."""
+    counted: set[int] = set()
+    kinds: dict[str, int] = {}
+    for op in ops:
+        buf = _buffer(op.output.data)
+        if id(buf) not in counted:
+            counted.add(id(buf))
+            kind = op.backward_fn.__qualname__.split(".")[0]
+            kinds[kind] = kinds.get(kind, 0) + buf.nbytes
+    return kinds
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", choices=("paper", "default"), default="paper", help="the config the overrides apply to")
@@ -141,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             held = tracemalloc.get_traced_memory()[0]
             ends = [n for _, _, n in stages] + [len(tape)]
             census = tape_census(tape.ops, ends)
+            kinds = output_bytes_by_kind(tape.ops)
             tracemalloc.reset_peak()
             tape.backward(loss)
             backward_peak = tracemalloc.get_traced_memory()[1]
@@ -157,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         for i, (shape, _, _) in enumerate(stages):
             print(f"stage {i}: grid {shape}, {ops[i]} ops, op outputs {census[i][0] / MIB:.3f} MiB, op-private {census[i][1] / MIB:.3f} MiB")
         print(f"tail: {ops[-1]} ops, op outputs {census[-1][0] / MIB:.3f} MiB, op-private {census[-1][1] / MIB:.3f} MiB")
+        for kind, nbytes in sorted(kinds.items(), key=lambda kv: -kv[1]):
+            print(f"op outputs of {kind}: {nbytes / MIB:.3f} MiB")
         print(f"forward: traced {held / MIB:.2f} MiB held")
         print(f"backward: traced high-water {backward_peak / MIB:.2f} MiB")
         grads = hashlib.sha256()

@@ -43,10 +43,12 @@ PIECE_CHUNKS = 32
 
 
 def _ffn(x: DiffArray, p: dict) -> DiffArray:
-    """fc2(gelu(fc1(x))); off the tape gelu writes into fc1's product, so
-    the layer holds one hidden-width buffer."""
-    h = P.linear(x, p["fc1"])
-    return P.linear(O.gelu(h, out=h), p["fc2"])
+    """fc2(gelu(fc1(x))), with GELU and fc2's product one `gelu_matmul` op,
+    so the layer holds one hidden-width buffer, fc1's product, taped or
+    not: off the tape GELU is written into it, and a tape keeps it alone,
+    for the backward to recompute GELU from."""
+    y = O.gelu_matmul(P.linear(x, p["fc1"]), p["fc2"]["w"])
+    return O.add(y, p["fc2"]["b"], out=y)
 
 
 def _block_params(rng: np.random.Generator, dim: int, heads: int, ffn_ratio: int, window: tuple[int, int, int] | None = None) -> dict:

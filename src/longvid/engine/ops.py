@@ -8,19 +8,25 @@ Integer inputs (token ids, gather indices) are plain numpy arrays, never
 DiffArrays, and additive masks enter attention as constants; no gradient
 flows through either.
 
-Each op has one forward, taped or not, and builds no full-size temporary:
-`gelu`, `layernorm` and `attention` write into one output they allocate and
-walk it in pieces of about CHUNK elements, `add(..., out=)` writes into an
-operand its caller owns, and `reshape` returns a view. `gelu` shares add's
-`out` rule: `out`, if given, is the input, a result its caller's own op
-just allocated. Off the tape gelu writes into it; when a tape records it
-ignores `out`, since its backward reads the input. A backward keeps
-only what is costly to remake: `gelu` and `layernorm` recompute their
-elementwise values from the input, with the same operations on the same
-operands in the same order, so the gradients are those of kept values.
-Their backwards are pieced like their forwards: each writes into the
-gradient it allocates, piece by piece, with one piece of scratch, and
-`layernorm` keeps g·x̂ whole only to sum it for the gain's gradient.
+Each op but `gelu_matmul` has one forward, taped or not, and builds no
+full-size temporary: `gelu`, `layernorm` and `attention` write into one
+output they allocate and walk it in pieces of about CHUNK elements,
+`add(..., out=)` writes into an operand its caller owns, and `reshape`
+returns a view. `gelu` shares add's `out` rule: `out`, if given, is the
+input, a result its caller's own op just allocated. Off the tape gelu
+writes into it; when a tape records it ignores `out`, since its backward
+reads the input. `gelu_matmul`, a feed-forward layer's GELU and second
+product, takes its x by the same rule: off the tape it is
+`matmul(gelu(x, out=x), w)`, and when a tape records, GELU goes into a
+temporary dropped after the product, so a taped feed-forward layer keeps
+one hidden-width buffer, fc1's product, as an untaped one does. A backward
+keeps only what is costly to remake: `gelu`, `gelu_matmul` and `layernorm`
+recompute their elementwise values from the input, with the same
+operations on the same operands in the same order, so the gradients are
+those of kept values. Their backwards are pieced like their forwards: each
+writes into the gradient it allocates, piece by piece, with one piece of
+scratch; `layernorm` keeps g·x̂ whole only to sum it for the gain's
+gradient, and `gelu_matmul` recomputes GELU whole only for w's gradient.
 `attention` keeps only its probabilities: it splits q, v and g into heads
 as strided views, and makes kᵀ's contiguous per-head copy where a product
 reads it, once in the forward and once more in the backward.
@@ -313,7 +319,9 @@ def _spread(g: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
 
 
 def softmax(x: DiffArray, axis: int = -1) -> DiffArray:
-    """Numerically stable softmax (max subtraction) along one axis."""
+    """Numerically stable softmax (max subtraction) along one axis. No model
+    code calls it (`attention` takes its own softmax); the autodiff demo's
+    read-out does."""
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
@@ -420,6 +428,52 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     return record_op(DiffArray(out), inputs, bwd)
 
 
+def _gelu_tanh(xs: np.ndarray, t: np.ndarray) -> None:
+    """t = tanh(√(2/π)(x + c·x³)) over one piece xs."""
+    np.multiply(xs, xs, out=t)
+    t *= _GELU_C
+    t *= xs
+    t += xs
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+
+
+def _gelu_into(flat: np.ndarray, oflat: np.ndarray) -> None:
+    """0.5x(1 + t) of the flat array into oflat, which may be flat itself:
+    each piece's tanh term is formed before its x is overwritten."""
+    scratch = np.empty(min(flat.size, CHUNK))
+    for s in _pieces(flat.size, 1):
+        xs, o = flat[s], oflat[s]
+        t = scratch[: xs.size]
+        _gelu_tanh(xs, t)
+        t += 1.0
+        np.multiply(xs, 0.5, out=o)
+        o *= t
+
+
+def _gelu_slope(xs: np.ndarray, t: np.ndarray, u: np.ndarray, o: np.ndarray, value: np.ndarray | None = None) -> None:
+    """GELU'(x) = 0.5(1 + t) + 0.5x(1 - t²)·du over one piece into o, with
+    t = tanh(√(2/π)(x + c·x³)) and du = √(2/π)(1 + 3c·x²), through the
+    scratch rows t and u. With `value`, GELU(x) goes into it from the same
+    tanh, in the expressions of `_gelu_into`."""
+    _gelu_tanh(xs, t)
+    np.multiply(t, t, out=u)
+    np.subtract(1.0, u, out=u)
+    t += 1.0
+    if value is not None:
+        np.multiply(xs, 0.5, out=value)
+        value *= t
+    t *= 0.5
+    np.multiply(xs, 0.5, out=o)
+    o *= u
+    np.multiply(xs, xs, out=u)
+    u *= 3.0 * _GELU_C
+    u += 1.0
+    u *= _SQRT_2_OVER_PI
+    o *= u
+    o += t
+
+
 def gelu(x: DiffArray, out: DiffArray | None = None) -> DiffArray:
     """tanh-form GELU, piece by piece into one new array; the backward
     recomputes x² and the tanh from x, piece by piece into the gradient.
@@ -432,53 +486,72 @@ def gelu(x: DiffArray, out: DiffArray | None = None) -> DiffArray:
         raise ShapeError("gelu's out must be its input x")
     xd = x.data
     out = xd if out is not None and not _records((x,)) else np.empty_like(xd)
-    flat, oflat = xd.reshape(-1), out.reshape(-1)
-    scratch = np.empty(min(flat.size, CHUNK))
-    for s in _pieces(flat.size, 1):
-        xs, o = flat[s], oflat[s]
-        t = scratch[: xs.size]
-        np.multiply(xs, xs, out=t)
-        t *= _GELU_C
-        t *= xs
-        t += xs
-        t *= _SQRT_2_OVER_PI
-        np.tanh(t, out=t)
-        t += 1.0
-        np.multiply(xs, 0.5, out=o)
-        o *= t
+    flat = xd.reshape(-1)
+    _gelu_into(flat, out.reshape(-1))
 
     def bwd(g):
-        # g · (0.5(1 + t) + 0.5x(1 - t²)·du), t = tanh(√(2/π)(x + c·x³)) and
-        # du = √(2/π)(1 + 3c·x²). Pieces of half a CHUNK, so that the two
-        # scratch rows (t, then 1 - t² and du) fill one piece.
+        # pieces of half a CHUNK, so that the two scratch rows fill one piece
         dx = np.empty_like(xd)
         gflat, dflat = g.reshape(-1), dx.reshape(-1)
         scratch = np.empty((2, min(flat.size, CHUNK // 2)))
         for s in _pieces(flat.size, 2):
             xs, o = flat[s], dflat[s]
             t, u = scratch[:, : xs.size]
-            np.multiply(xs, xs, out=t)
-            t *= _GELU_C
-            t *= xs
-            t += xs
-            t *= _SQRT_2_OVER_PI
-            np.tanh(t, out=t)
-            np.multiply(t, t, out=u)
-            np.subtract(1.0, u, out=u)
-            t += 1.0
-            t *= 0.5
-            np.multiply(xs, 0.5, out=o)
-            o *= u
-            np.multiply(xs, xs, out=u)
-            u *= 3.0 * _GELU_C
-            u += 1.0
-            u *= _SQRT_2_OVER_PI
-            o *= u
-            o += t
+            _gelu_slope(xs, t, u, o)
             o *= gflat[s]
         return (dx,)
 
     return record_op(DiffArray(out), (x,), bwd)
+
+
+def gelu_matmul(x: DiffArray, w: DiffArray) -> DiffArray:
+    """gelu(x) @ w against a 2-d w, as one op whose tape record keeps only
+    its inputs.
+
+    x is, as gelu's `out`, a result its caller's own op just allocated. Off
+    the tape this is `matmul(gelu(x, out=x), w)`: GELU is written into x's
+    buffer. When a tape records, GELU goes into a temporary that is dropped
+    once `matmul` has formed the product, so the layer keeps no GELU
+    output. The backward forms g·wᵀ into x's gradient, then walks it in
+    pieces, taking each piece's tanh once to scale it by GELU'(x) and, when
+    w needs a gradient, to recompute GELU(x) into one buffer for the weight
+    product GELU(x)ᵀ·g, dropped after it. These are `gelu`'s and `matmul`'s
+    expressions in their order, so output and gradients are bitwise those
+    of the composed ops.
+    """
+    if w.ndim != 2:
+        raise ShapeError(f"gelu_matmul needs a 2-d right operand, got {w.shape}")
+    if not _records((x, w)):
+        return matmul(gelu(x, out=x), w)
+    xd = x.data
+    flat = xd.reshape(-1)
+    act = np.empty_like(xd)
+    _gelu_into(flat, act.reshape(-1))
+    out = matmul(DiffArray(act), DiffArray(w.data))  # constants: counted, not recorded
+    d_in, d_out = w.shape
+
+    def bwd(g):
+        g_rows = g.reshape(-1, d_out)
+        value = np.empty_like(xd) if w.requires_grad else None
+        vflat = None if value is None else value.reshape(-1)
+        dx = None
+        if x.requires_grad:
+            # pieces of a third of a CHUNK, so that the three scratch rows
+            # (t, u and the slope) fill one piece
+            dx = np.empty_like(xd)
+            np.matmul(g_rows, w.data.T, out=dx.reshape(-1, d_in))
+            dflat = dx.reshape(-1)
+            scratch = np.empty((3, min(flat.size, CHUNK // 3)))
+            for s in _pieces(flat.size, 3):
+                xs = flat[s]
+                t, u, slope = scratch[:, : xs.size]
+                _gelu_slope(xs, t, u, slope, None if vflat is None else vflat[s])
+                dflat[s] *= slope
+        elif value is not None:
+            _gelu_into(flat, vflat)
+        return dx, None if value is None else value.reshape(-1, d_in).T @ g_rows
+
+    return record_op(out, (x, w), bwd)
 
 
 def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12) -> DiffArray:

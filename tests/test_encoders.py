@@ -29,7 +29,8 @@ from longvid.encoders import (
     _ffn,
     encode_pair,
 )
-from longvid.engine import ShapeError, Tape, constant, no_tape
+from longvid.engine import ShapeError, Tape, constant, no_tape, parameter
+from longvid.engine import sum as asum
 from longvid.engine import ops as O
 from longvid.engine.ops import CHUNK, count_multiply_adds
 from longvid.params import flatten_params
@@ -355,12 +356,12 @@ def test_untaped_forward_is_the_taped_one_and_keeps_its_inputs(overlay, chunk, m
     assert digests([*params, ids, pad, patches]) == before
 
 
-@pytest.mark.parametrize("layers, ops", [(1, 144), (2, 244)])
+@pytest.mark.parametrize("layers, ops", [(1, 139), (2, 234)])
 def test_a_taped_video_stage_gathers_and_merges_once(layers, ops):
     """A taped video forward on the default schedule with `layers` blocks in
     every stage. Each stage gathers its grid into window layout once and
     merges it back once, so a second block in each of the five stages adds
-    only its own 20 ops."""
+    only its own 19 ops."""
     stages = [
         {"layers": layers, "dim": s.dim, "heads": s.heads, "temporal_window": s.temporal_window, "merge": s.merge}
         for s in default_config().model.video.stages
@@ -390,6 +391,31 @@ def test_an_untaped_feed_forward_layer_holds_one_hidden_buffer():
         tracemalloc.stop()
     hidden = 4 * x.data.nbytes
     assert peak <= hidden + out.data.nbytes + CHUNK * 8 + x.data.nbytes // 16
+
+
+def test_a_taped_feed_forward_layer_keeps_one_hidden_buffer():
+    """Peak bytes of a taped feed-forward layer's forward and backward on a
+    (2048, 32) parameter with ffn_ratio 4: the hidden buffer the tape keeps
+    (fc1's product, which the backward recomputes GELU from), at most two
+    hidden-width transients (GELU in the forward; in the backward x's
+    gradient and the recomputed GELU, or that gradient and its copy), four
+    arrays of the layer's width (its output and the gradients and copies of
+    it and of x), one piece of CHUNK float64 scratch, and slack for the
+    Python objects. A tape that also keeps GELU's output reaches four
+    hidden buffers."""
+    rng = np.random.default_rng(8)
+    p = _block_params(rng, 32, 4, 4)
+    x = parameter(rng.normal(size=(2048, 32)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            tape.backward(asum(_ffn(x, p)))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    hidden = 4 * x.data.nbytes
+    assert peak <= 3 * hidden + 4 * x.data.nbytes + CHUNK * 8 + x.data.nbytes // 16
 
 
 def test_an_untaped_video_forward_holds_two_grids_a_piece_and_a_head_group(monkeypatch):

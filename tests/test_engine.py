@@ -21,6 +21,7 @@ from longvid.engine import (
     count_multiply_adds,
     cross_entropy_logits,
     gelu,
+    gelu_matmul,
     l2_normalize,
     layernorm,
     matmul,
@@ -636,6 +637,74 @@ def test_gelu_out_must_be_its_input():
         gelu(x, out=constant(np.ones((2, 3))))
 
 
+# ---------------------------------------------------------------------------
+# gelu_matmul: bitwise the composed matmul(gelu(x), w)
+# ---------------------------------------------------------------------------
+
+# x's shape and w's output width
+GELU_MATMUL_SHAPES = {
+    "several-pieces": ((3, CHUNK // 3 + 5), 7),
+    "3-d": ((2, CHUNK // 96 + 1, 48), 16),
+    "one-row": ((1, 40), 5),
+    "rows-wider-than-a-chunk": ((2, CHUNK + 3), 3),
+}
+
+
+@pytest.mark.parametrize("needs", ["both", "x", "w"])
+@pytest.mark.parametrize("shape, d_out", GELU_MATMUL_SHAPES.values(), ids=GELU_MATMUL_SHAPES)
+def test_gelu_matmul_is_bitwise_the_composed_ops(shape, d_out, needs):
+    """Output, multiply-adds and each gradient of a taped gelu_matmul, with
+    both inputs, only x or only w needing a gradient, against
+    matmul(gelu(x), w); the op records once and leaves x as it was."""
+    rng = np.random.default_rng(9)
+    x, w = rng.normal(scale=3.0, size=shape), rng.normal(size=(shape[-1], d_out))
+    g = constant(rng.normal(size=(*shape[:-1], d_out)))
+    results, recorded = [], []
+    for op in (gelu_matmul, lambda x, w: matmul(gelu(x), w)):
+        xa = (constant if needs == "w" else parameter)(x.copy())
+        wa = (constant if needs == "x" else parameter)(w.copy())
+        with count_multiply_adds() as count, Tape() as tape:
+            y = op(xa, wa)
+            recorded.append(len(tape))
+            tape.backward(asum(mul(y, g)))
+        assert xa.data.tobytes() == x.tobytes()
+        results.append([y.data.tobytes(), count.multiply_adds] + [a.grad.tobytes() for a in (xa, wa) if a.requires_grad])
+    assert recorded[0] == 1
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gelu_matmul_gradient(seed):
+    rng = np.random.default_rng(seed)
+    a, w = rand(rng, 4, 3), rand(rng, 3, 5)
+    c = constant(rng.normal(size=(4, 5)))
+    # x is a product the loss makes, as in a feed-forward layer: off the
+    # tape, where the numeric side runs, GELU is written into it
+    res = check_gradients(lambda a, w: asum(mul(gelu_matmul(scale(a, 2.0), w), c)), [a, w])
+    assert res.ok
+
+
+@pytest.mark.parametrize("shape, d_out", GELU_MATMUL_SHAPES.values(), ids=GELU_MATMUL_SHAPES)
+def test_untaped_gelu_matmul_is_the_taped_op_and_writes_only_into_x(shape, d_out):
+    rng = np.random.default_rng(10)
+    x, w = rng.normal(scale=3.0, size=shape), rng.normal(size=(shape[-1], d_out))
+    with count_multiply_adds() as taped_count, Tape():
+        taped = gelu_matmul(parameter(x.copy()), parameter(w.copy()))
+    xa, wa = constant(x.copy()), constant(w.copy())
+    with count_multiply_adds() as untaped_count:
+        untaped = gelu_matmul(xa, wa)
+    assert untaped.data.tobytes() == taped.data.tobytes()
+    assert untaped_count.multiply_adds == taped_count.multiply_adds
+    assert xa.data.tobytes() == gelu(constant(x)).data.tobytes()
+    assert wa.data.tobytes() == w.tobytes()
+    assert not np.shares_memory(untaped.data, xa.data)
+
+
+def test_gelu_matmul_needs_a_2d_weight():
+    with pytest.raises(ShapeError, match="2-d right operand"):
+        gelu_matmul(constant(np.ones((2, 3, 4))), constant(np.ones((2, 4, 5))))
+
+
 @pytest.mark.parametrize(
     "shape",
     [(5, 16), (CHUNK // 64, 64), (CHUNK // 3 + 1, 3), (2, CHUNK // 96 + 1, 48), (3, CHUNK + 1)],
@@ -831,12 +900,18 @@ def _add_out_op(x):
     return lambda: add(y, bias, out=y)
 
 
+def _gelu_matmul_op(x):
+    w = parameter(np.random.default_rng(5).normal(size=(512, 512)))
+    return lambda: gelu_matmul(x, w)
+
+
 # each op's maker, and the output sizes the op may leave allocated
 TAPED_OPS = {
     "gelu": (lambda x: lambda: gelu(x), 1),
     "layernorm": (_layernorm_op, 1),
     "reshape": (lambda x: lambda: x.reshape((512, 256)), 0),
     "add-out": (_add_out_op, 0),
+    "gelu-matmul": (_gelu_matmul_op, 1),
 }
 
 
@@ -860,10 +935,12 @@ def test_a_taped_op_leaves_at_most_its_output_allocated(make, outputs):
 
 
 # each op's backward, and the whole-array buffers it may allocate besides the
-# gradients it returns, in input sizes: layernorm's g·x̂, which it sums for dgain
+# gradients it returns, in input sizes: layernorm's g·x̂, which it sums for
+# dgain, and gelu_matmul's recomputed GELU, which it multiplies by g for dw
 BACKWARDS = {
     "gelu": (lambda x: lambda: gelu(x), 0),
     "layernorm": (_layernorm_op, 1),
+    "gelu-matmul": (_gelu_matmul_op, 1),
 }
 
 

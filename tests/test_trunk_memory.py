@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from longvid.config import default_config
-from longvid.encoders import VideoEncoder
+from longvid.encoders import VideoEncoder, _block_params, _ffn
 from longvid.engine import DiffArray, Tape, attention, constant, no_tape, parameter, record_op
 from longvid.engine import sum as asum
 from longvid.params import flatten_params
@@ -91,6 +91,37 @@ def test_the_census_of_one_attention_op_is_its_output_and_probabilities(trunk_me
     with Tape() as tape:
         attention(q, k, v, heads)
     assert trunk_memory.tape_census(tape.ops, [len(tape)]) == [(2 * 5 * n * dim * 8, 2 * 5 * heads * n * n * 8)]
+
+
+def test_the_census_of_a_taped_feed_forward_layer_is_its_two_products(trunk_memory):
+    """fc1's product, which the backward recomputes GELU from, and fc2's;
+    each bias is added into its product's buffer, and no GELU output is
+    kept."""
+    rng = np.random.default_rng(4)
+    n, dim, ratio = 24, 32, 4
+    p = _block_params(rng, dim, 4, ratio)
+    x = parameter(rng.normal(size=(2, n, dim)))
+    with Tape() as tape:
+        _ffn(x, p)
+    assert trunk_memory.tape_census(tape.ops, [len(tape)]) == [(2 * n * ratio * dim * 8 + 2 * n * dim * 8, 0)]
+    assert trunk_memory.output_bytes_by_kind(tape.ops) == {"matmul": 2 * n * ratio * dim * 8, "gelu_matmul": 2 * n * dim * 8}
+
+
+def test_the_bytes_by_kind_sum_to_the_census_of_a_taped_trunk(trunk_memory, capsys):
+    video, patches = default_video(trunk_memory.SEED)
+    with Tape() as tape:
+        asum(video.forward(patches).video_feat)  # the script's loss
+    census = trunk_memory.tape_census(tape.ops, [len(tape) // 2, len(tape)])
+    kinds = trunk_memory.output_bytes_by_kind(tape.ops)
+    assert {"matmul", "gelu_matmul", "layernorm", "attention"} <= set(kinds)
+    assert sum(kinds.values()) == sum(outputs for outputs, _ in census)
+
+    assert trunk_memory.main(["--base", "default", "--taped"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    stages = [float(m[1]) for m in (re.search(r" ops, op outputs ([\d.]+) MiB", line) for line in lines) if m]
+    printed = {m[1]: float(m[2]) for m in (re.fullmatch(r"op outputs of (\w+): ([\d.]+) MiB", line) for line in lines) if m}
+    assert printed.keys() == kinds.keys()
+    assert sum(printed.values()) == pytest.approx(sum(stages), abs=1e-3 * (len(printed) + len(stages)))
 
 
 def test_the_census_finds_arrays_a_wrapped_backward_holds(trunk_memory):
