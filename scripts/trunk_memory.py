@@ -25,10 +25,17 @@ backward is defined in: matmul, layernorm, attention, ...), and prints the
 bytes traced as held after the forward, the backward's traced high-water
 and a sha256 of the parameter gradients, in `flatten_params` order.
 
-Last come the process's `ru_maxrss` and a sha256 of each output
+Then come the process's `ru_maxrss` and a sha256 of each output
 (`clip_feats`, `video_feat` and `feature_map`). The per-stage figures come
 from wrapping the encoder's `stage_grids`, the walk that `forward`
 consumes.
+
+On the default base, --taped last takes the census of one whole
+default-config training step of each stage, on the first batch of the
+train split at SEED, as its backward would begin (`step_census`): the ops
+recorded, their op-output and op-private bytes, and how many products of
+the `wq`, `wk`, `wv` and `fc1.w` weights the forward formed and how many
+of them are still alive.
 """
 
 from __future__ import annotations
@@ -38,18 +45,23 @@ import hashlib
 import resource
 import sys
 import tracemalloc
+import weakref
+from dataclasses import replace
 from types import FunctionType
 
 import numpy as np
 
-from longvid.config import ConfigError, apply_overrides, build_config, merge_config_dict, paper_shaped_overlay
+from longvid.config import ConfigError, apply_overrides, build_config, default_config, merge_config_dict, paper_shaped_overlay
+from longvid.data import generate, stack_batch
 from longvid.encoders import VideoEncoder
-from longvid.engine import DiffArray, Tape, constant, no_tape
+from longvid.engine import DiffArray, Tape, constant, no_tape, ops
 from longvid.engine import sum as asum
 from longvid.params import flatten_params
+from longvid.pipeline import build_stage1_model, build_stage2_model, encode_frozen, stage1_batch_loss, stage2_batch_loss
 
 MIB = 2**20
-SEED = 0  # of the parameters and the patches
+SEED = 0  # of the parameters and the patches, and of a step's train split
+PRODUCT_WEIGHTS = (".wq", ".wk", ".wv", "fc1.w")  # path endings of the weights `step_census` watches
 
 
 def _buffer(a: np.ndarray) -> np.ndarray:
@@ -121,6 +133,44 @@ def output_bytes_by_kind(ops) -> dict[str, int]:
     return kinds
 
 
+def step_census(stage: int) -> tuple[int, int, int, int, list[str]]:
+    """(ops, distinct op-output bytes, op-private bytes, products formed,
+    products held) of the tape of one default-config training step of
+    `stage` (1 or 2), on the first batch of the train split at SEED, once
+    its loss is formed. Products formed counts the products of the
+    PRODUCT_WEIGHTS weights through `ops.matmul` in the forward; products
+    held are the paths of those weights, once per product, whose product is
+    still alive then, by a weak reference to the product's buffer."""
+    cfg = default_config()
+    batch = generate(replace(cfg.data, train_samples=cfg.train.batch_size, eval_samples=1), SEED)[0]
+    if stage == 1:
+        model = build_stage1_model(cfg, cfg.seed)
+    else:
+        stage1 = {k: p.data for k, p in build_stage1_model(cfg, cfg.seed).params().items()}
+        model = build_stage2_model(cfg, cfg.seed, stage1)
+        frozen = encode_frozen(model.stage1, batch)
+    watched = {id(p.data): path for path, p in model.params().items() if path.endswith(PRODUCT_WEIGHTS)}
+    products, matmul = [], ops.matmul
+
+    def watched_matmul(a, b):
+        out = matmul(a, b)
+        if id(b.data) in watched:
+            products.append((watched[id(b.data)], weakref.ref(out.data)))
+        return out
+
+    ops.matmul = watched_matmul
+    try:
+        with Tape() as tape:
+            if stage == 1:
+                stage1_batch_loss(model, cfg, *stack_batch(batch), 0, cfg.seed)
+            else:
+                stage2_batch_loss(model, cfg, batch, 0, cfg.seed, frozen)
+    finally:
+        ops.matmul = matmul
+    (outputs, private), = tape_census(tape.ops, [len(tape)])
+    return len(tape), outputs, private, len(products), [path for path, product in products if product() is not None]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", choices=("paper", "default"), default="paper", help="the config the overrides apply to")
@@ -190,6 +240,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"ru_maxrss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
     for name in ("clip_feats", "video_feat", "feature_map"):
         print(f"sha256 {name}: {hashlib.sha256(getattr(out, name).data.tobytes()).hexdigest()}")
+    if args.taped and args.base == "default":
+        for stage in (1, 2):
+            n, outputs, private, formed, held = step_census(stage)
+            print(
+                f"stage-{stage} step: tape of {n} ops; op outputs {outputs / MIB:.3f} MiB; op-private {private / MIB:.3f} MiB;"
+                f" products of {'/'.join(w.lstrip('.') for w in PRODUCT_WEIGHTS)} formed: {formed}, held: {len(held)}"
+            )
     return 0
 
 

@@ -211,13 +211,14 @@ def init_attention_params(rng: np.random.Generator, dim: int, heads: int, window
 
 
 def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | np.ndarray | None) -> DiffArray:
-    """The attention core: project q, k and v from x (..., n, dim), run one
-    attention op over the heads and project back. bias is the op's one
-    additive input: a learned DiffArray, a constant mask or None. Every
-    attention layer runs it; off the tape, `windowed_mha` splits the op into
-    head groups when one window's scores of every head exceed a CHUNK."""
-    q, k, v = (P.linear(x, p, name) for name in "qkv")
-    return P.linear(O.attention(q, k, v, heads, bias), p, "o")
+    """The attention core: one `qkv_attention` op projects q, k and v from
+    x (..., n, dim) and attends over the heads, and the output projection
+    follows. bias is the op's one additive input: a learned DiffArray, a
+    constant mask or None. Every attention layer runs it; off the tape,
+    `windowed_mha` splits the attention into head groups when one window's
+    scores of every head exceed a CHUNK."""
+    a = O.qkv_attention(x, *(p[name] for name in ("wq", "bq", "wk", "bk", "wv", "bv")), heads, bias)
+    return P.linear(a, p, "o")
 
 
 def _table_bias(table: DiffArray, index: np.ndarray) -> DiffArray:

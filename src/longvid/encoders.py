@@ -43,11 +43,10 @@ PIECE_CHUNKS = 32
 
 
 def _ffn(x: DiffArray, p: dict) -> DiffArray:
-    """fc2(gelu(fc1(x))), with GELU and fc2's product one `gelu_matmul` op,
-    so the layer holds one hidden-width buffer, fc1's product, taped or
-    not: off the tape GELU is written into it, and a tape keeps it alone,
-    for the backward to recompute GELU from."""
-    y = O.gelu_matmul(P.linear(x, p["fc1"]), p["fc2"]["w"])
+    """fc2(gelu(fc1(x))): one `feed_forward` op, then fc2's bias added into
+    its output. The layer holds one hidden-width buffer, fc1's product,
+    while it runs, and a tape keeps none."""
+    y = O.feed_forward(x, p["fc1"]["w"], p["fc1"]["b"], p["fc2"]["w"])
     return O.add(y, p["fc2"]["b"], out=y)
 
 

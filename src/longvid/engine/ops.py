@@ -8,28 +8,34 @@ Integer inputs (token ids, gather indices) are plain numpy arrays, never
 DiffArrays, and additive masks enter attention as constants; no gradient
 flows through either.
 
-Each op but `gelu_matmul` has one forward, taped or not, and builds no
-full-size temporary: `gelu`, `layernorm` and `attention` write into one
-output they allocate and walk it in pieces of about CHUNK elements,
-`add(..., out=)` writes into an operand its caller owns, and `reshape`
-returns a view. `gelu` shares add's `out` rule: `out`, if given, is the
-input, a result its caller's own op just allocated. Off the tape gelu
-writes into it; when a tape records it ignores `out`, since its backward
-reads the input. `gelu_matmul`, a feed-forward layer's GELU and second
-product, takes its x by the same rule: off the tape it is
-`matmul(gelu(x, out=x), w)`, and when a tape records, GELU goes into a
-temporary dropped after the product, so a taped feed-forward layer keeps
-one hidden-width buffer, fc1's product, as an untaped one does. A backward
-keeps only what is costly to remake: `gelu`, `gelu_matmul` and `layernorm`
-recompute their elementwise values from the input, with the same
-operations on the same operands in the same order, so the gradients are
-those of kept values. Their backwards are pieced like their forwards: each
-writes into the gradient it allocates, piece by piece, with one piece of
-scratch; `layernorm` keeps g·x̂ whole only to sum it for the gain's
-gradient, and `gelu_matmul` recomputes GELU whole only for w's gradient.
-`attention` keeps only its probabilities: it splits q, v and g into heads
-as strided views, and makes kᵀ's contiguous per-head copy where a product
-reads it, once in the forward and once more in the backward.
+Off the tape each op builds no full-size temporary: `gelu`, `layernorm`
+and `attention` write into one output they allocate and walk it in pieces
+of about CHUNK elements, `add(..., out=)` writes into an operand its caller
+owns, and `reshape` returns a view. `gelu` shares add's `out` rule: `out`,
+if given, is the input, a result its caller's own op just allocated. Off
+the tape gelu writes into it; when a tape records it ignores `out`, since
+its backward reads the input.
+
+Two ops take a layer's input, so that a tape keeps no product that is one
+GEMM away from a buffer it holds anyway. `qkv_attention` projects q, k and
+v from x and runs the attention core; `feed_forward` is fc1, GELU and fc2's
+product. Each has one forward, on the tape or off it: the composed ops'
+expressions, with the products and GELU's value dropped once the output is
+formed. When a tape records, `qkv_attention` keeps x, the leaves and the
+probabilities, `feed_forward` x and the leaves. Their backwards form the
+products again with the forward's expressions, and so its bits, and call
+numpy directly, so only the forward's products are counted.
+
+A backward keeps only what is costly to remake. `gelu`, `feed_forward` and
+`layernorm` recompute their elementwise values from their input, with the
+same operations on the same operands in the same order, so the gradients
+are those of kept values. Their backwards are pieced like their forwards:
+each writes into the gradient it allocates, piece by piece, with one piece
+of scratch; `layernorm` keeps g·x̂ whole only to sum it for the gain's
+gradient. `attention` keeps only its probabilities, and recomputes nothing:
+it splits q, v and g into heads as strided views, and makes kᵀ's
+contiguous per-head copy where a product reads it, once in the forward and
+once more in the backward.
 
 A backward returns new arrays it does not keep: `Tape.backward` keeps such
 a first gradient without a copy, and adds later gradients into it in place.
@@ -346,6 +352,78 @@ def _operand(x: np.ndarray) -> DiffArray:
     return c
 
 
+def _split(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., n, dim) -> a (..., heads, n, dh) view."""
+    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-3, -2)
+
+
+def _keys_t(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., n, dim) -> a contiguous (..., heads, dh, n) copy."""
+    return np.ascontiguousarray(_split(x, heads).swapaxes(-2, -1))
+
+
+def _joined(x: np.ndarray) -> np.ndarray:
+    """(..., heads, n, dh) -> (..., n, dim). Contiguous: a gradient's layout
+    sets the order of later sums over it, and so their last bits."""
+    x = np.ascontiguousarray(x.swapaxes(-3, -2))
+    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1])
+
+
+def _scores_scale(dim: int, heads: int) -> float:
+    """1/√dh, once the head rule holds."""
+    if heads < 1 or dim % heads:
+        raise ShapeError(f"dim {dim} not divisible by heads {heads}")
+    return 1.0 / math.sqrt(dim // heads)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, b: np.ndarray | None, pieced: bool):
+    """The softmax core's forward: the (..., n, dim) output, and the
+    (..., heads, n, n) probabilities when it ran as one piece (else None).
+    Pieced, it walks the flattened leading axes in pieces of about CHUNK
+    elements of q or of the scores, with the bias broadcast to q's leading
+    dims, one row per row of q (a view wherever the strides allow)."""
+    dim, n = q.shape[-1], q.shape[-2]
+    s = _scores_scale(dim, heads)
+    out = np.empty(q.shape)
+    views = (q, k, v, out)
+    pieces = [...]  # one piece over the whole leading shape
+    if pieced:
+        lead = q.shape[:-2]
+        rows = math.prod(lead)
+        views = tuple(x.reshape(rows, n, dim) for x in views)
+        pieces = _pieces(rows, n * max(dim, heads * n))
+        if b is not None:  # one bias row per row of q
+            tail = (1, 1, 1, *b.shape)[-3:]
+            b = np.broadcast_to(b, (*lead, *tail)).reshape(rows, *tail)
+    qs, ks, vs, outs = views
+    for p in pieces:
+        probs = matmul(_operand(_split(qs[p], heads)), _operand(_keys_t(ks[p], heads))).data
+        probs *= s
+        if b is not None:
+            probs += b[p]
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        _split(outs[p], heads)[...] = matmul(_operand(probs), _operand(_split(vs[p], heads))).data
+    return out, None if pieced else probs
+
+
+def _attend_backward(g, probs, q, k, v, heads: int, bias_shape, needs):
+    """The softmax core's backward from its probabilities and its q, k and
+    v: (gq, gk, gv, gbias), each None where `needs` (of q, k and v) is false
+    or, for the bias, where bias_shape is None."""
+    s = _scores_scale(q.shape[-1], heads)
+    g = _split(g, heads)
+    gp = np.matmul(g, _split(v, heads).swapaxes(-1, -2))
+    gv = _joined(np.matmul(probs.swapaxes(-1, -2), g)) if needs[2] else None
+    gp = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
+    gbias = None if bias_shape is None else _unbroadcast(gp, bias_shape)
+    gp = gp * s
+    gq = _joined(np.matmul(gp, _keys_t(k, heads).swapaxes(-1, -2))) if needs[0] else None
+    gk = _joined(np.matmul(_split(q, heads).swapaxes(-1, -2), gp).swapaxes(-1, -2)) if needs[1] else None
+    return gq, gk, gv, gbias
+
+
 def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffArray | np.ndarray | None = None) -> DiffArray:
     """Multi-head softmax attention as one op.
 
@@ -360,70 +438,96 @@ def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffAr
     the last bits of q·kᵀ and of q's gradient. Off the tape, the forward
     walks the flattened leading axes in pieces of about CHUNK elements of q
     or of the scores, works in place on each piece's scores buffer and
-    writes each piece's context into one output. The bias is broadcast to
-    q's leading dims, one row per row of q (a view wherever the strides
-    allow), and sliced with every piece. When a tape records, the op runs
-    one piece over the whole leading shape. Besides its inputs, its backward
-    keeps only the probabilities, and recomputes nothing.
+    writes each piece's context into one output. When a tape records, the
+    op runs one piece over the whole leading shape. Besides its inputs, its
+    backward keeps only the probabilities, and recomputes nothing.
+    `qkv_attention` runs the same core from the layer input.
     """
-    dim = q.shape[-1]
-    if heads < 1 or dim % heads:
-        raise ShapeError(f"dim {dim} not divisible by heads {heads}")
-    dh = dim // heads
-    s = 1.0 / math.sqrt(dh)
-
-    def heads_of(x: np.ndarray) -> np.ndarray:
-        """(..., n, dim) -> a (..., heads, n, dh) view."""
-        return x.reshape(*x.shape[:-1], heads, dh).swapaxes(-3, -2)
-
-    def keys_t(x: np.ndarray) -> np.ndarray:
-        """(..., n, dim) -> a contiguous (..., heads, dh, n) copy."""
-        return np.ascontiguousarray(heads_of(x).swapaxes(-2, -1))
-
-    def joined(x: np.ndarray) -> np.ndarray:
-        """(..., heads, n, dh) -> (..., n, dim). Contiguous: a gradient's
-        layout sets the order of later sums over it, and so their last bits."""
-        x = np.ascontiguousarray(x.swapaxes(-3, -2))
-        return x.reshape(*x.shape[:-2], dim)
-
     if bias is not None:
         bias = as_diff(bias)
     inputs = (q, k, v) if bias is None else (q, k, v, bias)
-    b = None if bias is None else bias.data
-    n = q.shape[-2]
-    out = np.empty(q.shape)
-    views = (q.data, k.data, v.data, out)
-    pieces = [...]  # one piece over the whole leading shape
-    if not _records(inputs):
-        lead = q.shape[:-2]
-        rows = math.prod(lead)
-        views = tuple(x.reshape(rows, n, dim) for x in views)
-        pieces = _pieces(rows, n * max(dim, heads * n))
-        if b is not None:  # one bias row per row of q
-            tail = (1, 1, 1, *b.shape)[-3:]
-            b = np.broadcast_to(b, (*lead, *tail)).reshape(rows, *tail)
-    qs, ks, vs, outs = views
-    for p in pieces:
-        probs = matmul(_operand(heads_of(qs[p])), _operand(keys_t(ks[p]))).data
-        probs *= s
-        if b is not None:
-            probs += b[p]
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        heads_of(outs[p])[...] = matmul(_operand(probs), _operand(heads_of(vs[p]))).data
+    records = _records(inputs)
+    out, probs = _attend(q.data, k.data, v.data, heads, None if bias is None else bias.data, pieced=not records)
 
-    # recorded only after the one whole piece, whose probs it reads
     def bwd(g):
-        g = heads_of(g)
-        gp = np.matmul(g, heads_of(v.data).swapaxes(-1, -2))
-        gv = joined(np.matmul(probs.swapaxes(-1, -2), g)) if v.requires_grad else None
-        gp = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
-        gbias = _unbroadcast(gp, bias.shape) if bias is not None and bias.requires_grad else None
-        gp = gp * s
-        gq = joined(np.matmul(gp, keys_t(k.data).swapaxes(-1, -2))) if q.requires_grad else None
-        gk = joined(np.matmul(heads_of(q.data).swapaxes(-1, -2), gp).swapaxes(-1, -2)) if k.requires_grad else None
-        return (gq, gk, gv, gbias)[: len(inputs)]
+        bias_shape = bias.shape if bias is not None and bias.requires_grad else None
+        grads = _attend_backward(g, probs, q.data, k.data, v.data, heads, bias_shape, [a.requires_grad for a in (q, k, v)])
+        return grads[: len(inputs)]
+
+    return record_op(DiffArray(out), inputs, bwd)
+
+
+def _weights(*arrays: DiffArray) -> None:
+    if any(a.ndim != 2 for a in arrays):
+        raise ShapeError(f"a layer op needs 2-d weights, got {', '.join(str(a.shape) for a in arrays)}")
+
+
+def _affine(x: np.ndarray, w: DiffArray, b: DiffArray) -> np.ndarray:
+    """x·w + b in a new buffer: the product through the counted `matmul` on
+    constants, the bias added into it in place, as `params.linear` does."""
+    y = matmul(DiffArray(x), DiffArray(w.data)).data
+    y += b.data
+    return y
+
+
+def _reformed(x: np.ndarray, w: DiffArray, b: DiffArray) -> np.ndarray:
+    """`_affine`'s value in a backward, with `matmul`'s expression for a 2-d
+    weight and not counted: the bits of the forward's product."""
+    y = (x.reshape(-1, w.shape[0]) @ w.data).reshape(*x.shape[:-1], w.shape[1])
+    y += b.data
+    return y
+
+
+def qkv_attention(
+    x: DiffArray,
+    wq: DiffArray,
+    bq: DiffArray,
+    wk: DiffArray,
+    bk: DiffArray,
+    wv: DiffArray,
+    bv: DiffArray,
+    heads: int,
+    bias: DiffArray | np.ndarray | None = None,
+) -> DiffArray:
+    """`attention` of the projections q = x·wq + bq, k = x·wk + bk and
+    v = x·wv + bv of a layer input x (..., n, dim), as one op whose tape
+    record keeps only x, the leaves and the probabilities.
+
+    Each product goes through the counted `matmul`, its bias added into it
+    in place, and q, k and v are dropped once the core has run. Off the
+    tape the core runs in pieces, as in `attention`. When a tape records,
+    it runs as one piece, and the backward forms q, k and v again with the
+    same expressions, so with the same bits, runs the core's backward, and
+    then the projections' backward in the order a tape of the composed ops
+    replays them: x's gradient is ((gv·wvᵀ) + gk·wkᵀ) + gq·wqᵀ in one
+    buffer, each weight's is xᵀ·g and each bias's is g summed as `add`'s
+    backward sums it. Output and gradients are bitwise those of the
+    composed ops.
+    """
+    _weights(wq, wk, wv)
+    if bias is not None:
+        bias = as_diff(bias)
+    projections = ((wq, bq), (wk, bk), (wv, bv))
+    inputs = (x, wq, bq, wk, bk, wv, bv) + (() if bias is None else (bias,))
+    out, probs = _attend(*(_affine(x.data, w, b) for w, b in projections), heads, None if bias is None else bias.data, pieced=not _records(inputs))
+
+    def bwd(g):
+        needs = [x.requires_grad or w.requires_grad or b.requires_grad for w, b in projections]
+        bias_shape = bias.shape if bias is not None and bias.requires_grad else None
+        gq, gk, gv, gbias = _attend_backward(g, probs, *(_reformed(x.data, w, b) for w, b in projections), heads, bias_shape, needs)
+        rows = x.data.reshape(-1, x.shape[-1])
+        leaves = []
+        for (w, b), gy in zip(projections, (gq, gk, gv)):
+            g_rows = None if gy is None else gy.reshape(-1, w.shape[1])
+            leaves += [rows.T @ g_rows if w.requires_grad else None, _unbroadcast(gy, b.shape) if b.requires_grad else None]
+        dx = None
+        if x.requires_grad:  # summed as a tape of the composed ops adds them: v, k, q
+            dx = np.empty_like(x.data)
+            dx_rows = dx.reshape(rows.shape)
+            np.matmul(gv.reshape(-1, wv.shape[1]), wv.data.T, out=dx_rows)
+            dx_rows += gk.reshape(-1, wk.shape[1]) @ wk.data.T
+            dx_rows += gq.reshape(-1, wq.shape[1]) @ wq.data.T
+        return (dx, *leaves, gbias)[: len(inputs)]
 
     return record_op(DiffArray(out), inputs, bwd)
 
@@ -504,54 +608,62 @@ def gelu(x: DiffArray, out: DiffArray | None = None) -> DiffArray:
     return record_op(DiffArray(out), (x,), bwd)
 
 
-def gelu_matmul(x: DiffArray, w: DiffArray) -> DiffArray:
-    """gelu(x) @ w against a 2-d w, as one op whose tape record keeps only
-    its inputs.
+def feed_forward(x: DiffArray, w1: DiffArray, b1: DiffArray, w2: DiffArray) -> DiffArray:
+    """gelu(x·w1 + b1)·w2, a feed-forward layer but for its second bias, as
+    one op whose tape record keeps only x and the leaves.
 
-    x is, as gelu's `out`, a result its caller's own op just allocated. Off
-    the tape this is `matmul(gelu(x, out=x), w)`: GELU is written into x's
-    buffer. When a tape records, GELU goes into a temporary that is dropped
-    once `matmul` has formed the product, so the layer keeps no GELU
-    output. The backward forms g·wᵀ into x's gradient, then walks it in
-    pieces, taking each piece's tanh once to scale it by GELU'(x) and, when
-    w needs a gradient, to recompute GELU(x) into one buffer for the weight
-    product GELU(x)ᵀ·g, dropped after it. These are `gelu`'s and `matmul`'s
-    expressions in their order, so output and gradients are bitwise those
-    of the composed ops.
+    Both products go through the counted `matmul`, b1 added into the first
+    in place. GELU is written into fc1's product h, and h is dropped once
+    `matmul` has formed the output, so the layer keeps no hidden-width
+    buffer, on the tape or off it. The backward forms h again with the
+    same expressions, so with the same bits, and forms g·w2ᵀ into h's
+    gradient. It walks that gradient in pieces, taking each piece's tanh
+    once to scale it by GELU'(h) and, when w2 needs a gradient, to write
+    GELU(h) over h for the weight product GELU(h)ᵀ·g. Last comes fc1's
+    backward: b1's gradient summed as `add`'s backward sums it, w1's xᵀ·gh
+    and x's gh·w1ᵀ. These are the composed ops' expressions in their order,
+    so output and gradients are bitwise theirs.
     """
-    if w.ndim != 2:
-        raise ShapeError(f"gelu_matmul needs a 2-d right operand, got {w.shape}")
-    if not _records((x, w)):
-        return matmul(gelu(x, out=x), w)
-    xd = x.data
-    flat = xd.reshape(-1)
-    act = np.empty_like(xd)
-    _gelu_into(flat, act.reshape(-1))
-    out = matmul(DiffArray(act), DiffArray(w.data))  # constants: counted, not recorded
-    d_in, d_out = w.shape
+    _weights(w1, w2)
+    h = _affine(x.data, w1, b1)
+    _gelu_into(h.reshape(-1), h.reshape(-1))
+    out = matmul(DiffArray(h), DiffArray(w2.data))  # constants: counted, not recorded
+    del h
+    d_h, d_out = w2.shape
 
     def bwd(g):
         g_rows = g.reshape(-1, d_out)
-        value = np.empty_like(xd) if w.requires_grad else None
-        vflat = None if value is None else value.reshape(-1)
+        h = _reformed(x.data, w1, b1)
+        flat = h.reshape(-1)
+        gh = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            # pieces of a quarter of a CHUNK, so that the four scratch rows
+            # (t, u, the slope and the piece of h that GELU overwrites) fill one
+            gh = np.empty_like(h)
+            np.matmul(g_rows, w2.data.T, out=gh.reshape(-1, d_h))
+            gflat = gh.reshape(-1)
+            scratch = np.empty((4, min(flat.size, CHUNK // 4)))
+            for s in _pieces(flat.size, 4):
+                t, u, slope, hs = scratch[:, : flat[s].size]
+                hs[...] = flat[s]
+                _gelu_slope(hs, t, u, slope, flat[s] if w2.requires_grad else None)
+                gflat[s] *= slope
+        elif w2.requires_grad:
+            _gelu_into(flat, flat)
+        dw2 = h.reshape(-1, d_h).T @ g_rows if w2.requires_grad else None
+        del h
+        if gh is None:
+            return None, None, None, dw2
+        gh_rows = gh.reshape(-1, d_h)
+        rows = x.data.reshape(-1, x.shape[-1])
         dx = None
         if x.requires_grad:
-            # pieces of a third of a CHUNK, so that the three scratch rows
-            # (t, u and the slope) fill one piece
-            dx = np.empty_like(xd)
-            np.matmul(g_rows, w.data.T, out=dx.reshape(-1, d_in))
-            dflat = dx.reshape(-1)
-            scratch = np.empty((3, min(flat.size, CHUNK // 3)))
-            for s in _pieces(flat.size, 3):
-                xs = flat[s]
-                t, u, slope = scratch[:, : xs.size]
-                _gelu_slope(xs, t, u, slope, None if vflat is None else vflat[s])
-                dflat[s] *= slope
-        elif value is not None:
-            _gelu_into(flat, vflat)
-        return dx, None if value is None else value.reshape(-1, d_in).T @ g_rows
+            dx = np.empty_like(x.data)
+            np.matmul(gh_rows, w1.data.T, out=dx.reshape(rows.shape))
+        dw1 = rows.T @ gh_rows if w1.requires_grad else None
+        return dx, dw1, _unbroadcast(gh, b1.shape) if b1.requires_grad else None, dw2
 
-    return record_op(out, (x, w), bwd)
+    return record_op(out, (x, w1, b1, w2), bwd)
 
 
 def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12) -> DiffArray:

@@ -20,8 +20,8 @@ from longvid.engine import (
     constant,
     count_multiply_adds,
     cross_entropy_logits,
+    feed_forward,
     gelu,
-    gelu_matmul,
     l2_normalize,
     layernorm,
     matmul,
@@ -30,6 +30,7 @@ from longvid.engine import (
     mul,
     numeric_gradient,
     parameter,
+    qkv_attention,
     record_op,
     scale,
     softmax,
@@ -39,7 +40,7 @@ from longvid.engine import (
     transpose,
 )
 from longvid.engine import ops
-from longvid.engine.ops import _GELU_C, _SQRT_2_OVER_PI, CHUNK, _pieces, _records, _unbroadcast, as_diff
+from longvid.engine.ops import _GELU_C, _SQRT_2_OVER_PI, CHUNK, _gelu_into, _gelu_slope, _pieces, _records, _unbroadcast, as_diff
 
 SEEDS = range(10)
 
@@ -638,8 +639,50 @@ def test_gelu_out_must_be_its_input():
 
 
 # ---------------------------------------------------------------------------
-# gelu_matmul: bitwise the composed matmul(gelu(x), w)
+# gelu_matmul, the op `feed_forward` replaced, kept here as a harness of the
+# GELU helpers `feed_forward` is built from (`_gelu_into`, `_gelu_slope`
+# with its value, `gelu(out=)`), pieced at a third of a CHUNK: bitwise the
+# composed matmul(gelu(x), w)
 # ---------------------------------------------------------------------------
+
+
+def gelu_matmul(x, w):
+    """gelu(x) @ w against a 2-d w as one op whose record keeps x and w: the
+    engine's op before `feed_forward` took fc1's input. Off the tape it is
+    `matmul(gelu(x, out=x), w)`; taped, GELU goes into a temporary dropped
+    after the product, and the backward recomputes it from x."""
+    if w.ndim != 2:
+        raise ShapeError(f"gelu_matmul needs a 2-d right operand, got {w.shape}")
+    if not _records((x, w)):
+        return matmul(gelu(x, out=x), w)
+    xd = x.data
+    flat = xd.reshape(-1)
+    act = np.empty_like(xd)
+    _gelu_into(flat, act.reshape(-1))
+    out = matmul(DiffArray(act), DiffArray(w.data))
+    d_in, d_out = w.shape
+
+    def bwd(g):
+        g_rows = g.reshape(-1, d_out)
+        value = np.empty_like(xd) if w.requires_grad else None
+        vflat = None if value is None else value.reshape(-1)
+        dx = None
+        if x.requires_grad:
+            dx = np.empty_like(xd)
+            np.matmul(g_rows, w.data.T, out=dx.reshape(-1, d_in))
+            dflat = dx.reshape(-1)
+            scratch = np.empty((3, min(flat.size, ops.CHUNK // 3)))
+            for s in _pieces(flat.size, 3):
+                xs = flat[s]
+                t, u, slope = scratch[:, : xs.size]
+                _gelu_slope(xs, t, u, slope, None if vflat is None else vflat[s])
+                dflat[s] *= slope
+        elif value is not None:
+            _gelu_into(flat, vflat)
+        return dx, None if value is None else value.reshape(-1, d_in).T @ g_rows
+
+    return record_op(out, (x, w), bwd)
+
 
 # x's shape and w's output width
 GELU_MATMUL_SHAPES = {
@@ -703,6 +746,86 @@ def test_untaped_gelu_matmul_is_the_taped_op_and_writes_only_into_x(shape, d_out
 def test_gelu_matmul_needs_a_2d_weight():
     with pytest.raises(ShapeError, match="2-d right operand"):
         gelu_matmul(constant(np.ones((2, 3, 4))), constant(np.ones((2, 4, 5))))
+
+
+# ---------------------------------------------------------------------------
+# feed_forward: bitwise the composed linear, gelu and matmul
+# ---------------------------------------------------------------------------
+
+
+def composed_feed_forward(x, w1, b1, w2):
+    """fc1 as `params.linear` applies it, then `gelu` and `matmul`."""
+    h = matmul(x, w1)
+    return matmul(gelu(add(h, b1, out=h)), w2)
+
+
+# x's shape, the hidden width and the output width: the hidden buffers of
+# GELU_MATMUL_SHAPES
+FEED_FORWARD_SHAPES = {
+    "several-pieces": ((3, 16), CHUNK // 3 + 5, 7),
+    "3-d": ((2, CHUNK // 96 + 1, 12), 48, 16),
+    "one-row": ((1, 8), 40, 5),
+    "rows-wider-than-a-chunk": ((2, 4), CHUNK + 3, 3),
+}
+
+# which of x, w1, b1 and w2 need a gradient
+NEEDS = {"all": (1, 1, 1, 1), "x": (1, 0, 0, 0), "weights": (0, 1, 1, 1), "w2": (0, 0, 0, 1), "fc1": (0, 1, 1, 0)}
+
+
+def feed_forward_arrays(rng, shape, d_h, d_out):
+    d_in = shape[-1]
+    return [rng.normal(size=shape), rng.normal(size=(d_in, d_h)) / 2, rng.normal(size=d_h), rng.normal(size=(d_h, d_out))]
+
+
+@pytest.mark.parametrize("needs", NEEDS.values(), ids=NEEDS)
+@pytest.mark.parametrize("shape, d_h, d_out", FEED_FORWARD_SHAPES.values(), ids=FEED_FORWARD_SHAPES)
+def test_feed_forward_is_bitwise_the_composed_ops(shape, d_h, d_out, needs):
+    """Output, multiply-adds and each gradient of a taped feed_forward
+    against linear, gelu and matmul, with every subset of inputs in NEEDS
+    needing a gradient; the op records once and leaves its inputs as they
+    were, and each gradient it returns is a new C-contiguous buffer that
+    `Tape.backward` keeps without a copy."""
+    rng = np.random.default_rng(11)
+    arrays = feed_forward_arrays(rng, shape, d_h, d_out)
+    g = constant(rng.normal(size=(*shape[:-1], d_out)))
+    results, recorded = [], []
+    for op in (feed_forward, composed_feed_forward):
+        inputs = [(parameter if need else constant)(a.copy()) for a, need in zip(arrays, needs)]
+        with count_multiply_adds() as count, Tape() as tape:
+            y = op(*inputs)
+            recorded.append(len(tape))
+            tape.backward(asum(mul(y, g)))
+        assert [a.data.tobytes() for a in inputs] == [a.tobytes() for a in arrays]
+        results.append([y.data.tobytes(), count.multiply_adds] + [a.grad.tobytes() for a in inputs if a.requires_grad])
+    assert recorded[0] == 1
+    assert results[0] == results[1]
+    with Tape() as tape:
+        feed_forward(*[(parameter if need else constant)(a) for a, need in zip(arrays, needs)])
+    grads = tape.ops[-1].backward_fn(g.data)
+    assert all(gi.flags.c_contiguous and gi.flags.owndata for gi in grads if gi is not None)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_feed_forward_gradient(seed):
+    rng = np.random.default_rng(seed)
+    x, w1, b1, w2 = rand(rng, 4, 3), rand(rng, 3, 6), rand(rng, 6), rand(rng, 6, 5)
+    c = constant(rng.normal(size=(4, 5)))
+    res = check_gradients(lambda x, w1, b1, w2: asum(mul(feed_forward(x, w1, b1, w2), c)), [x, w1, b1, w2])
+    assert res.ok
+
+
+@pytest.mark.parametrize("shape, d_h, d_out", FEED_FORWARD_SHAPES.values(), ids=FEED_FORWARD_SHAPES)
+def test_untaped_feed_forward_is_the_taped_op(shape, d_h, d_out):
+    arrays = feed_forward_arrays(np.random.default_rng(12), shape, d_h, d_out)
+    assert_untaped_equals_taped(feed_forward, *arrays)
+
+
+def test_layer_ops_need_2d_weights():
+    x, w = constant(np.ones((2, 3, 4))), constant(np.ones((4, 4)))
+    with pytest.raises(ShapeError, match=r"needs 2-d weights, got \(4, 4\), \(2, 4, 5\)"):
+        feed_forward(x, w, constant(np.zeros(4)), constant(np.ones((2, 4, 5))))
+    with pytest.raises(ShapeError, match="needs 2-d weights"):
+        qkv_attention(x, w, w, constant(np.ones((1, 4, 4))), w, w, w, 2)
 
 
 @pytest.mark.parametrize(
@@ -867,6 +990,110 @@ def test_a_taped_attention_op_keeps_its_output_and_probabilities():
     assert left <= out.data.nbytes + probs + out.data.nbytes // 16
 
 
+# ---------------------------------------------------------------------------
+# qkv_attention: bitwise the composed projections and attention
+# ---------------------------------------------------------------------------
+
+
+def composed_qkv_attention(x, wq, bq, wk, bk, wv, bv, heads, bias=None):
+    """Three `linear`s as `params.linear` applies them, then `attention`."""
+    qkv = []
+    for w, b in ((wq, bq), (wk, bk), (wv, bv)):
+        y = matmul(x, w)
+        qkv.append(add(y, b, out=y))
+    return attention(*qkv, heads, bias)
+
+
+def qkv_arrays(rng, lead, n, dim, heads, bias_kind):
+    """x, the six leaves and the bias: a relative (heads, n, n) table or an
+    additive key mask over the leading shape."""
+    arrays = [rng.normal(size=(*lead, n, dim))]
+    for _ in range(3):
+        arrays += [rng.normal(size=(dim, dim)) / math.sqrt(dim), rng.normal(size=dim)]
+    if bias_kind == "relative":
+        return arrays, rng.normal(size=(heads, n, n))
+    mask = np.where(rng.random((*lead, 1, 1, n)) < 0.3, -1e9, 0.0)
+    mask[..., 0] = 0.0  # every query keeps one key
+    return arrays, mask
+
+
+def qkv_run(op, arrays, bias, heads, g, needs=(True,) * 8):
+    """Output bytes, multiply-adds and the gradients of the arrays and of a
+    relative bias (those that `needs`), after one taped backward of
+    sum(op(...) * g); and the ops recorded before the loss."""
+    inputs = [(parameter if need else constant)(a.copy()) for a, need in zip(arrays, needs)]
+    learned = bias.ndim == 3 and needs[7]
+    b = parameter(bias.copy()) if learned else bias
+    with count_multiply_adds() as count, Tape() as tape:
+        y = op(*inputs, heads, b)
+        recorded = len(tape)
+        tape.backward(asum(mul(y, constant(g))))
+    grads = [a.grad.tobytes() for a in inputs if a.requires_grad] + ([b.grad.tobytes()] if learned else [])
+    assert [a.data.tobytes() for a in inputs] == [a.tobytes() for a in arrays]
+    return [y.data.tobytes(), count.multiply_adds, *grads], recorded
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 1024], ids=["chunk", "small-chunk"])
+@pytest.mark.parametrize("bias_kind", ["relative", "key-mask"])
+@pytest.mark.parametrize("n", [4, 8, 33, 65])
+@pytest.mark.parametrize("lead", [(5,), (3, 2)], ids=["3-d", "4-d"])
+def test_qkv_attention_is_bitwise_the_composed_ops(lead, n, bias_kind, chunk, monkeypatch):
+    """Output, multiply-adds and the gradients of x, the six leaves and a
+    learned bias, taped, against three linears and attention; the untaped
+    op against the taped one. The op records once, and each gradient it
+    returns is a new C-contiguous buffer that `Tape.backward` keeps without
+    a copy."""
+    monkeypatch.setattr(ops, "CHUNK", chunk)
+    dim, heads = 32, 4
+    rng = np.random.default_rng(n)
+    arrays, bias = qkv_arrays(rng, lead, n, dim, heads, bias_kind)
+    g = rng.normal(size=arrays[0].shape)
+    (got, recorded), (want, _) = (qkv_run(op, arrays, bias, heads, g) for op in (qkv_attention, composed_qkv_attention))
+    assert recorded == 1
+    assert len(got) == (10 if bias_kind == "relative" else 9)
+    assert got == want
+    with count_multiply_adds() as count:
+        untaped = qkv_attention(*(constant(a) for a in arrays), heads, bias)
+    assert [untaped.data.tobytes(), count.multiply_adds] == got[:2]
+    with Tape() as tape:
+        qkv_attention(*(parameter(a) for a in arrays), heads, parameter(bias) if bias_kind == "relative" else bias)
+    assert all(gi.flags.c_contiguous and gi.flags.owndata for gi in tape.ops[-1].backward_fn(g) if gi is not None)
+
+
+# which of x, the six leaves and the relative bias need a gradient
+QKV_NEEDS = {"x": (1,) + (0,) * 7, "weights": (0,) + (1,) * 6 + (0,), "bias": (0,) * 7 + (1,), "q-frozen": (1, 0, 0, 1, 1, 1, 1, 1)}
+
+
+@pytest.mark.parametrize("needs", QKV_NEEDS.values(), ids=QKV_NEEDS)
+def test_qkv_attention_skips_what_needs_no_gradient(needs):
+    rng = np.random.default_rng(13)
+    arrays, bias = qkv_arrays(rng, (3,), 12, 16, 2, "relative")
+    g = rng.normal(size=arrays[0].shape)
+    (got, recorded), (want, _) = (qkv_run(op, arrays, bias, 2, g, needs) for op in (qkv_attention, composed_qkv_attention))
+    assert recorded == 1
+    assert len(got) == 2 + sum(needs)
+    assert got == want
+
+
+def test_a_taped_qkv_attention_op_keeps_its_output_and_probabilities():
+    """As for `attention`: the output and the probabilities, with slack.
+    Keeping q, k and v would add three output sizes."""
+    rng = np.random.default_rng(7)
+    x = parameter(rng.normal(size=(8, 16, 8, 32)))
+    leaves = [parameter(rng.normal(size=s)) for s in [(32, 32), (32,)] * 3]
+    with Tape() as tape:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = qkv_attention(x, *leaves, 4)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    probs = 8 * 16 * 4 * 8 * 8 * 8
+    assert tape.ops[-1].output is out and len(tape) == 1
+    assert left <= out.data.nbytes + probs + out.data.nbytes // 16
+
+
 def test_backward_drops_each_replayed_record():
     rng = np.random.default_rng(8)
     x = rand(rng, 3, 4, 8)
@@ -905,6 +1132,12 @@ def _gelu_matmul_op(x):
     return lambda: gelu_matmul(x, w)
 
 
+def _feed_forward_op(x):
+    rng = np.random.default_rng(5)
+    w1, b1, w2 = (parameter(rng.normal(size=s)) for s in [(512, 512), (512,), (512, 512)])
+    return lambda: feed_forward(x, w1, b1, w2)
+
+
 # each op's maker, and the output sizes the op may leave allocated
 TAPED_OPS = {
     "gelu": (lambda x: lambda: gelu(x), 1),
@@ -912,6 +1145,7 @@ TAPED_OPS = {
     "reshape": (lambda x: lambda: x.reshape((512, 256)), 0),
     "add-out": (_add_out_op, 0),
     "gelu-matmul": (_gelu_matmul_op, 1),
+    "feed-forward": (_feed_forward_op, 1),
 }
 
 
@@ -936,11 +1170,14 @@ def test_a_taped_op_leaves_at_most_its_output_allocated(make, outputs):
 
 # each op's backward, and the whole-array buffers it may allocate besides the
 # gradients it returns, in input sizes: layernorm's g·x̂, which it sums for
-# dgain, and gelu_matmul's recomputed GELU, which it multiplies by g for dw
+# dgain, gelu_matmul's recomputed GELU, which it multiplies by g for dw, and
+# feed_forward's fc1 product, formed again and overwritten by GELU, and its
+# gradient
 BACKWARDS = {
     "gelu": (lambda x: lambda: gelu(x), 0),
     "layernorm": (_layernorm_op, 1),
     "gelu-matmul": (_gelu_matmul_op, 1),
+    "feed-forward": (_feed_forward_op, 2),
 }
 
 

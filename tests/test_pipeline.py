@@ -680,4 +680,4 @@ def test_no_backward_reads_an_input_changed_after_recording(aliasing_audit, tiny
     after_stage2 = len(aliasing_audit)
     assert gradcheck_stage1(tiny_cfg, seeds=(0,), max_random_entries=1).ok
     assert 0 < after_stage1 < after_stage2 < len(aliasing_audit)
-    assert {"matmul", "attention", "gelu_matmul", "layernorm"} <= set(aliasing_audit)
+    assert {"matmul", "qkv_attention", "feed_forward", "layernorm"} <= set(aliasing_audit)

@@ -10,7 +10,7 @@ import pytest
 
 from longvid.config import default_config
 from longvid.encoders import VideoEncoder, _block_params, _ffn
-from longvid.engine import DiffArray, Tape, attention, constant, no_tape, parameter, record_op
+from longvid.engine import DiffArray, Tape, attention, constant, no_tape, parameter, qkv_attention, record_op
 from longvid.engine import sum as asum
 from longvid.params import flatten_params
 
@@ -93,18 +93,45 @@ def test_the_census_of_one_attention_op_is_its_output_and_probabilities(trunk_me
     assert trunk_memory.tape_census(tape.ops, [len(tape)]) == [(2 * 5 * n * dim * 8, 2 * 5 * heads * n * n * 8)]
 
 
-def test_the_census_of_a_taped_feed_forward_layer_is_its_two_products(trunk_memory):
-    """fc1's product, which the backward recomputes GELU from, and fc2's;
-    each bias is added into its product's buffer, and no GELU output is
-    kept."""
+def test_the_census_of_one_qkv_attention_op_is_its_output_and_probabilities(trunk_memory):
+    """No q, k or v buffer: the backward forms them again from x."""
+    rng = np.random.default_rng(3)
+    lead, n, dim, heads = (2, 5), 16, 32, 4
+    x = parameter(rng.normal(size=(*lead, n, dim)))
+    leaves = [parameter(rng.normal(size=s)) for s in [(dim, dim), (dim,)] * 3]
+    with Tape() as tape:
+        qkv_attention(x, *leaves, heads)
+    assert trunk_memory.tape_census(tape.ops, [len(tape)]) == [(2 * 5 * n * dim * 8, 2 * 5 * heads * n * n * 8)]
+
+
+def test_the_census_of_a_taped_feed_forward_layer_is_its_output(trunk_memory):
+    """fc2's product, into which fc2's bias is added; neither fc1's product,
+    which the backward forms again, nor a GELU output is kept."""
     rng = np.random.default_rng(4)
     n, dim, ratio = 24, 32, 4
     p = _block_params(rng, dim, 4, ratio)
     x = parameter(rng.normal(size=(2, n, dim)))
     with Tape() as tape:
         _ffn(x, p)
-    assert trunk_memory.tape_census(tape.ops, [len(tape)]) == [(2 * n * ratio * dim * 8 + 2 * n * dim * 8, 0)]
-    assert trunk_memory.output_bytes_by_kind(tape.ops) == {"matmul": 2 * n * ratio * dim * 8, "gelu_matmul": 2 * n * dim * 8}
+    assert trunk_memory.tape_census(tape.ops, [len(tape)]) == [(2 * n * dim * 8, 0)]
+    assert trunk_memory.output_bytes_by_kind(tape.ops) == {"feed_forward": 2 * n * dim * 8}
+
+
+def test_a_default_step_keeps_no_projection_or_fc1_product(trunk_memory, capsys):
+    """One op per attention layer's input side and one per feed-forward
+    layer: a stage-1 step records 192 ops and a stage-2 step 66. Their
+    forwards form 36 and 32 products of a q, k, v or fc1 weight, and none
+    outlives the forward. The composed ops recorded 264 and 98 ops, and
+    kept 36 and 16 of these products."""
+    censuses = {stage: trunk_memory.step_census(stage) for stage in (1, 2)}
+    got = {stage: (n, formed, held) for stage, (n, _, _, formed, held) in censuses.items()}
+    assert got == {1: (192, 36, []), 2: (66, 32, [])}
+
+    assert trunk_memory.main(["--base", "default", "--taped"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for stage, (n, outputs, private, formed, _) in censuses.items():
+        line = f"stage-{stage} step: tape of {n} ops; op outputs {outputs / 2**20:.3f} MiB; op-private {private / 2**20:.3f} MiB;"
+        assert f"{line} products of wq/wk/wv/fc1.w formed: {formed}, held: 0" in lines
 
 
 def test_the_bytes_by_kind_sum_to_the_census_of_a_taped_trunk(trunk_memory, capsys):
@@ -113,7 +140,7 @@ def test_the_bytes_by_kind_sum_to_the_census_of_a_taped_trunk(trunk_memory, caps
         asum(video.forward(patches).video_feat)  # the script's loss
     census = trunk_memory.tape_census(tape.ops, [len(tape) // 2, len(tape)])
     kinds = trunk_memory.output_bytes_by_kind(tape.ops)
-    assert {"matmul", "gelu_matmul", "layernorm", "attention"} <= set(kinds)
+    assert {"matmul", "feed_forward", "layernorm", "qkv_attention"} <= set(kinds)
     assert sum(kinds.values()) == sum(outputs for outputs, _ in census)
 
     assert trunk_memory.main(["--base", "default", "--taped"]) == 0
