@@ -21,9 +21,10 @@ the buffer it views, once) and their op-private bytes: arrays that the
 recorded backwards hold and that are no op's output or input, such as the
 attention op's probabilities. Then it splits the forward's op-output bytes
 by the kind of op that produced each buffer (the name its recorded
-backward is defined in: matmul, layernorm, attention, ...), and prints the
-bytes traced as held after the forward, the backward's traced high-water
-and a sha256 of the parameter gradients, in `flatten_params` order.
+backward is defined in: matmul, layernorm, qkv_attention, ...), and
+prints the bytes traced as held after the forward, the backward's traced
+high-water and a sha256 of the parameter gradients, in `flatten_params`
+order.
 
 Then come the process's `ru_maxrss` and a sha256 of each output
 (`clip_feats`, `video_feat` and `feature_map`). The per-stage figures come

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import params as P
-from .engine import DiffArray, active_tape
+from .engine import DiffArray
 from .engine import ops as O
 
 
@@ -210,22 +210,21 @@ def init_attention_params(rng: np.random.Generator, dim: int, heads: int, window
 # ---------------------------------------------------------------------------
 
 
-def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | np.ndarray | None) -> DiffArray:
+def _mha(x: DiffArray, p: dict, heads: int, bias: DiffArray | np.ndarray | None, index: np.ndarray | None = None) -> DiffArray:
     """The attention core: one `qkv_attention` op projects q, k and v from
     x (..., n, dim) and attends over the heads, and the output projection
     follows. bias is the op's one additive input: a learned DiffArray, a
-    constant mask or None. Every attention layer runs it; off the tape,
-    `windowed_mha` splits the attention into head groups when one window's
-    scores of every head exceed a CHUNK."""
-    a = O.qkv_attention(x, *(p[name] for name in ("wq", "bq", "wk", "bk", "wv", "bv")), heads, bias)
+    constant mask, None, or, with index, a relative-position table that the
+    op looks up itself. Every attention layer runs it."""
+    a = O.qkv_attention(x, *(p[name] for name in ("wq", "bq", "wk", "bk", "wv", "bv")), heads, bias, index)
     return P.linear(a, p, "o")
 
 
 def _table_bias(table: DiffArray, index: np.ndarray) -> DiffArray:
-    """The (heads, t, t) bias of a (rows, heads) relative-position table, or
-    of some of its head columns, looked up through index =
-    relative_index_map(window): one gather from the transposed table, so no
-    full-size transposed copy of the bias is made."""
+    """The (heads, t, t) bias of a (rows, heads) relative-position table
+    looked up through index = relative_index_map(window), in recorded ops:
+    one gather from the transposed table. The masked oracle places it;
+    `qkv_attention` makes the same gather inside the op."""
     return O.take(O.transpose(table), index, axis=1)
 
 
@@ -237,27 +236,11 @@ def multi_head_attention(x: DiffArray, p: dict, heads: int, add_mask: np.ndarray
 
 def windowed_mha(windows: DiffArray, p: dict, heads: int, index: np.ndarray) -> DiffArray:
     """Attention inside each window of `windows` (..., t, dim), already in
-    window layout (`window_partition`), with the relative-position bias
-    looked up through index = relative_index_map(window).
-
-    When a tape records, or when one window's scores of every head fit in a
-    CHUNK, this is `_mha` with the whole (heads, t, t) bias. Off the tape,
-    q, k and v are otherwise projected once and the attention op runs once
-    per group of max(1, CHUNK // t²) heads, on those heads' columns, with
-    the group's (hg, t, t) bias taken straight from the table, so neither
-    the whole bias nor the probabilities of every head exist at once. Heads
-    are independent, so both give the same bits."""
-    group = max(1, O.CHUNK // index.size)
-    if active_tape() is not None or group >= heads:
-        return _mha(windows, p, heads, _table_bias(p["rel_bias"], index))
-    q, k, v = (P.linear(windows, p, name) for name in "qkv")
-    dh = windows.shape[-1] // heads
-    parts = []
-    for h in range(0, heads, group):
-        cols = slice(h * dh, min(h + group, heads) * dh)
-        bias = _table_bias(DiffArray(p["rel_bias"].data[:, h : h + group]), index)
-        parts.append(O.attention(*(DiffArray(a.data[..., cols]) for a in (q, k, v)), bias.shape[0], bias))
-    return P.linear(O.concat(parts, axis=-1), p, "o")
+    window layout (`window_partition`), with the relative-position table
+    p["rel_bias"] looked up through index = relative_index_map(window) by
+    the attention op, which gathers each head group's (hg, t, t) bias
+    itself."""
+    return _mha(windows, p, heads, p["rel_bias"], index)
 
 
 def masked_full_attention_reference(tokens: DiffArray, spec: WindowSpec, p: dict, heads: int) -> DiffArray:

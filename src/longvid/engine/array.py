@@ -1,7 +1,7 @@
 """Dense float64 arrays with a dynamic reverse-mode differentiation tape.
 
 Values live in contiguous row-major numpy buffers, save the unrecorded
-constants `ops.attention` builds over strided per-head views to hand to
+constants `ops.qkv_attention` builds over strided per-head views to hand to
 `ops.matmul` (at least 3-d, so `matmul` never reshapes them). Every
 differentiable operation records itself on the innermost active tape;
 ``Tape.backward`` replays the records once, in exact reverse order,

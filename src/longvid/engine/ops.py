@@ -9,19 +9,21 @@ DiffArrays, and additive masks enter attention as constants; no gradient
 flows through either.
 
 Off the tape each op builds no full-size temporary: `gelu`, `layernorm`
-and `attention` write into one output they allocate and walk it in pieces
-of about CHUNK elements, `add(..., out=)` writes into an operand its caller
-owns, and `reshape` returns a view. `gelu` shares add's `out` rule: `out`,
-if given, is the input, a result its caller's own op just allocated. Off
-the tape gelu writes into it; when a tape records it ignores `out`, since
-its backward reads the input.
+and `qkv_attention` write into one output they allocate and walk it in
+pieces of about CHUNK elements (attention in groups of heads, too),
+`add(..., out=)` writes into an operand its caller owns, and `reshape`
+returns a view. `gelu` shares add's `out` rule: `out`, if given, is the
+input, a result its caller's own op just allocated. Off the tape gelu
+writes into it; when a tape records it ignores `out`, since its backward
+reads the input.
 
 Two ops take a layer's input, so that a tape keeps no product that is one
 GEMM away from a buffer it holds anyway. `qkv_attention` projects q, k and
-v from x and runs the attention core; `feed_forward` is fc1, GELU and fc2's
-product. Each has one forward, on the tape or off it: the composed ops'
-expressions, with the products and GELU's value dropped once the output is
-formed. When a tape records, `qkv_attention` keeps x, the leaves and the
+v from x and runs the attention core, looking up a relative-position
+table's bias itself; `feed_forward` is fc1, GELU and fc2's product. Each
+has one forward, on the tape or off it: the composed ops' expressions,
+with the products and GELU's value dropped once the output is formed.
+When a tape records, `qkv_attention` keeps x, the leaves and the
 probabilities, `feed_forward` x and the leaves. Their backwards form the
 products again with the forward's expressions, and so its bits, and call
 numpy directly, so only the forward's products are counted.
@@ -32,10 +34,10 @@ same operations on the same operands in the same order, so the gradients
 are those of kept values. Their backwards are pieced like their forwards:
 each writes into the gradient it allocates, piece by piece, with one piece
 of scratch; `layernorm` keeps g·x̂ whole only to sum it for the gain's
-gradient. `attention` keeps only its probabilities, and recomputes nothing:
-it splits q, v and g into heads as strided views, and makes kᵀ's
-contiguous per-head copy where a product reads it, once in the forward and
-once more in the backward.
+gradient. The attention core keeps only its probabilities, and recomputes
+none of them: it splits q, v and g into heads as strided views, and makes
+kᵀ's contiguous per-head copy where a product reads it, once in the
+forward and once more in the backward.
 
 A backward returns new arrays it does not keep: `Tape.backward` keeps such
 a first gradient without a copy, and adds later gradients into it in place.
@@ -203,8 +205,9 @@ def matmul(a: DiffArray, b: DiffArray) -> DiffArray:
     the rows of one GEMM, forward and backward, so the weight gradient is a
     single (d_in, d_out) product rather than a batch of them summed down.
     The backward skips the product of an operand that needs no gradient.
-    An operand may be a strided view: `attention` hands over ≥3-d per-head
-    views (see `_operand`), which the batched branch reads as they are.
+    An operand may be a strided view: `qkv_attention` hands over ≥3-d
+    per-head views (see `_operand`), which the batched branch reads as they
+    are.
     """
     a, b = as_diff(a), as_diff(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -326,8 +329,8 @@ def _spread(g: np.ndarray, shape, axis, keepdims: bool) -> np.ndarray:
 
 def softmax(x: DiffArray, axis: int = -1) -> DiffArray:
     """Numerically stable softmax (max subtraction) along one axis. No model
-    code calls it (`attention` takes its own softmax); the autodiff demo's
-    read-out does."""
+    code calls it (`qkv_attention` takes its own softmax); the autodiff
+    demo's read-out does."""
     z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
@@ -357,9 +360,9 @@ def _split(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-3, -2)
 
 
-def _keys_t(x: np.ndarray, heads: int) -> np.ndarray:
-    """(..., n, dim) -> a contiguous (..., heads, dh, n) copy."""
-    return np.ascontiguousarray(_split(x, heads).swapaxes(-2, -1))
+def _keys_t(x: np.ndarray) -> np.ndarray:
+    """(..., heads, n, dh) -> a contiguous (..., heads, dh, n) copy."""
+    return np.ascontiguousarray(x.swapaxes(-2, -1))
 
 
 def _joined(x: np.ndarray) -> np.ndarray:
@@ -376,35 +379,51 @@ def _scores_scale(dim: int, heads: int) -> float:
     return 1.0 / math.sqrt(dim // heads)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, b: np.ndarray | None, pieced: bool):
+def _head_bias(b: np.ndarray | None, index: np.ndarray | None, hs: slice) -> np.ndarray | None:
+    """The bias of the heads hs. With index, b is a (rows, heads) table, and
+    this is `take`'s gather of index from its transpose: (hg, n, n). Else b
+    broadcasts to the scores, and its head axis, if it has one, is sliced."""
+    if b is None:
+        return None
+    if index is not None:
+        return np.take(b.T[hs], index, axis=1)
+    return b[..., hs, :, :] if b.ndim >= 3 and b.shape[-3] > 1 else b
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, b: np.ndarray | None, index: np.ndarray | None, pieced: bool):
     """The softmax core's forward: the (..., n, dim) output, and the
     (..., heads, n, n) probabilities when it ran as one piece (else None).
-    Pieced, it walks the flattened leading axes in pieces of about CHUNK
-    elements of q or of the scores, with the bias broadcast to q's leading
-    dims, one row per row of q (a view wherever the strides allow)."""
+    Pieced, it walks groups of heads whose one-row scores fill about a
+    CHUNK, each group's bias (`_head_bias`) made once and broadcast to one
+    row per row of q, a view wherever the strides allow; and in each group,
+    pieces of rows of about CHUNK elements of the group's q or scores."""
     dim, n = q.shape[-1], q.shape[-2]
     s = _scores_scale(dim, heads)
     out = np.empty(q.shape)
+    lead = q.shape[:-2]
+    rows = math.prod(lead)
     views = (q, k, v, out)
-    pieces = [...]  # one piece over the whole leading shape
     if pieced:
-        lead = q.shape[:-2]
-        rows = math.prod(lead)
         views = tuple(x.reshape(rows, n, dim) for x in views)
-        pieces = _pieces(rows, n * max(dim, heads * n))
-        if b is not None:  # one bias row per row of q
-            tail = (1, 1, 1, *b.shape)[-3:]
-            b = np.broadcast_to(b, (*lead, *tail)).reshape(rows, *tail)
-    qs, ks, vs, outs = views
-    for p in pieces:
-        probs = matmul(_operand(_split(qs[p], heads)), _operand(_keys_t(ks[p], heads))).data
-        probs *= s
-        if b is not None:
-            probs += b[p]
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        _split(outs[p], heads)[...] = matmul(_operand(probs), _operand(_split(vs[p], heads))).data
+    qs, ks, vs, outs = (_split(x, heads) for x in views)
+    for hs in _pieces(heads, n * n) if pieced else [slice(None)]:
+        gb = _head_bias(b, index, hs)
+        pieces = [...]  # one piece over the whole leading shape
+        if pieced:
+            pieces = _pieces(rows, n * len(range(heads)[hs]) * max(dim // heads, n))
+            if gb is not None:  # one bias row per row of q
+                tail = (1, 1, 1, *gb.shape)[-3:]
+                gb = np.broadcast_to(gb, (*lead, *tail)).reshape(rows, *tail)
+        for p in pieces:
+            qh, kh, vh = (x[p][..., hs, :, :] for x in (qs, ks, vs))
+            probs = matmul(_operand(qh), _operand(_keys_t(kh))).data
+            probs *= s
+            if gb is not None:
+                probs += gb[p]
+            probs -= probs.max(axis=-1, keepdims=True)
+            np.exp(probs, out=probs)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            outs[p][..., hs, :, :] = matmul(_operand(probs), _operand(vh)).data
     return out, None if pieced else probs
 
 
@@ -419,42 +438,17 @@ def _attend_backward(g, probs, q, k, v, heads: int, bias_shape, needs):
     gp = probs * (gp - (gp * probs).sum(axis=-1, keepdims=True))
     gbias = None if bias_shape is None else _unbroadcast(gp, bias_shape)
     gp = gp * s
-    gq = _joined(np.matmul(gp, _keys_t(k, heads).swapaxes(-1, -2))) if needs[0] else None
+    gq = _joined(np.matmul(gp, _keys_t(_split(k, heads)).swapaxes(-1, -2))) if needs[0] else None
     gk = _joined(np.matmul(_split(q, heads).swapaxes(-1, -2), gp).swapaxes(-1, -2)) if needs[1] else None
     return gq, gk, gv, gbias
 
 
-def attention(q: DiffArray, k: DiffArray, v: DiffArray, heads: int, bias: DiffArray | np.ndarray | None = None) -> DiffArray:
-    """Multi-head softmax attention as one op.
-
-    q, k and v are (..., n, dim) projections, split into `heads` heads of
-    dh = dim/heads. Per head, softmax(q·kᵀ/√dh + bias) weights v, and the
-    heads are joined back to (..., n, dim). bias, broadcastable to the
-    (..., heads, n, n) scores, is a learned DiffArray or a constant mask,
-    lifted by `as_diff`. Both products go through `matmul` off the tape, so
-    they are counted like any other. q, v and the backward's g enter their
-    products as strided per-head views; kᵀ is a contiguous per-head copy,
-    made where a product reads it and dropped after, since its layout sets
-    the last bits of q·kᵀ and of q's gradient. Off the tape, the forward
-    walks the flattened leading axes in pieces of about CHUNK elements of q
-    or of the scores, works in place on each piece's scores buffer and
-    writes each piece's context into one output. When a tape records, the
-    op runs one piece over the whole leading shape. Besides its inputs, its
-    backward keeps only the probabilities, and recomputes nothing.
-    `qkv_attention` runs the same core from the layer input.
-    """
-    if bias is not None:
-        bias = as_diff(bias)
-    inputs = (q, k, v) if bias is None else (q, k, v, bias)
-    records = _records(inputs)
-    out, probs = _attend(q.data, k.data, v.data, heads, None if bias is None else bias.data, pieced=not records)
-
-    def bwd(g):
-        bias_shape = bias.shape if bias is not None and bias.requires_grad else None
-        grads = _attend_backward(g, probs, q.data, k.data, v.data, heads, bias_shape, [a.requires_grad for a in (q, k, v)])
-        return grads[: len(inputs)]
-
-    return record_op(DiffArray(out), inputs, bwd)
+def _table_grad(g: np.ndarray, index: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The (rows, heads) table's gradient from its gathered bias's, g:
+    `take`'s backward into the table's transpose, then `transpose`'s."""
+    dt = np.zeros(shape[::-1])
+    np.add.at(np.moveaxis(dt, 1, 0), index, np.moveaxis(g, (1, 2), (0, 1)))
+    return np.ascontiguousarray(dt.T)
 
 
 def _weights(*arrays: DiffArray) -> None:
@@ -488,33 +482,48 @@ def qkv_attention(
     bv: DiffArray,
     heads: int,
     bias: DiffArray | np.ndarray | None = None,
+    index: np.ndarray | None = None,
 ) -> DiffArray:
-    """`attention` of the projections q = x·wq + bq, k = x·wk + bk and
-    v = x·wv + bv of a layer input x (..., n, dim), as one op whose tape
-    record keeps only x, the leaves and the probabilities.
+    """Multi-head softmax attention of a layer input x (..., n, dim), as one
+    op whose tape record keeps only x, the leaves and the probabilities.
 
-    Each product goes through the counted `matmul`, its bias added into it
-    in place, and q, k and v are dropped once the core has run. Off the
-    tape the core runs in pieces, as in `attention`. When a tape records,
-    it runs as one piece, and the backward forms q, k and v again with the
-    same expressions, so with the same bits, runs the core's backward, and
-    then the projections' backward in the order a tape of the composed ops
-    replays them: x's gradient is ((gv·wvᵀ) + gk·wkᵀ) + gq·wqᵀ in one
-    buffer, each weight's is xᵀ·g and each bias's is g summed as `add`'s
-    backward sums it. Output and gradients are bitwise those of the
-    composed ops.
+    q = x·wq + bq, k = x·wk + bk and v = x·wv + bv split into `heads` heads
+    of dh = dim/heads; per head, softmax(q·kᵀ/√dh + bias) weights v, and
+    the heads are joined back. bias, broadcastable to the (..., heads, n, n)
+    scores, is a learned DiffArray or a constant mask; with index (n, n),
+    it is a (rows, heads) relative-position table, looked up inside the op
+    by `take`'s gather from its transpose.
+
+    Every product goes through the counted `matmul`, each projection's bias
+    added in place; q, v and g enter the products as strided per-head
+    views, and kᵀ as a contiguous per-head copy, since its layout sets the
+    last bits of q·kᵀ and of q's gradient. Off the tape, `_attend` walks
+    head groups and row pieces of about a CHUNK. When a tape records, the
+    op runs as one piece, and the backward forms q, k and v again with the
+    same expressions, runs the core's backward, then the projections' in
+    the order a tape of the composed ops replays them: x's gradient is
+    ((gv·wvᵀ) + gk·wkᵀ) + gq·wqᵀ in one buffer, each weight's xᵀ·g, each
+    bias's g summed as `add`'s backward sums it, and a table's `take`'s
+    backward, then `transpose`'s. Output and gradients are bitwise those
+    of the composed ops.
     """
     _weights(wq, wk, wv)
     if bias is not None:
         bias = as_diff(bias)
+    if index is not None:
+        index = _indices(index, bias.shape[0], "qkv_attention")
     projections = ((wq, bq), (wk, bk), (wv, bv))
     inputs = (x, wq, bq, wk, bk, wv, bv) + (() if bias is None else (bias,))
-    out, probs = _attend(*(_affine(x.data, w, b) for w, b in projections), heads, None if bias is None else bias.data, pieced=not _records(inputs))
+    out, probs = _attend(*(_affine(x.data, w, b) for w, b in projections), heads, None if bias is None else bias.data, index, pieced=not _records(inputs))
 
     def bwd(g):
         needs = [x.requires_grad or w.requires_grad or b.requires_grad for w, b in projections]
-        bias_shape = bias.shape if bias is not None and bias.requires_grad else None
+        bias_shape = None
+        if bias is not None and bias.requires_grad:
+            bias_shape = bias.shape if index is None else (bias.shape[1], *index.shape)
         gq, gk, gv, gbias = _attend_backward(g, probs, *(_reformed(x.data, w, b) for w, b in projections), heads, bias_shape, needs)
+        if gbias is not None and index is not None:
+            gbias = _table_grad(gbias, index, bias.shape)
         rows = x.data.reshape(-1, x.shape[-1])
         leaves = []
         for (w, b), gy in zip(projections, (gq, gk, gv)):
@@ -744,13 +753,18 @@ def l2_normalize(x: DiffArray, eps: float = 1e-24) -> DiffArray:
 # ---------------------------------------------------------------------------
 
 
+def _indices(indices, n: int, op: str) -> np.ndarray:
+    """indices as int64, each in [0, n): none wraps."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ShapeError(f"{op} indices out of range [0, {n})")
+    return indices
+
+
 def take(x: DiffArray, indices: np.ndarray, axis: int = 0) -> DiffArray:
     """Select positions along one axis, table lookups included; duplicates
     accumulate in backward. Every index must lie in [0, n): none wraps."""
-    indices = np.asarray(indices, dtype=np.int64)
-    n = x.shape[axis]
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        raise ShapeError(f"take indices out of range [0, {n})")
+    indices = _indices(indices, x.shape[axis], "take")
     axis %= x.ndim
     out = DiffArray(np.take(x.data, indices, axis=axis))
 

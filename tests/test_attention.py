@@ -218,33 +218,20 @@ def test_windowed_attention_gradients_by_finite_differences(seed):
 @pytest.mark.parametrize("seed", range(2))
 def test_head_grouped_attention_gradients_by_finite_differences(seed, monkeypatch):
     # At a CHUNK of one window's scores the untaped numeric side attends in
-    # one-head groups, while the taped analytic side runs one attention op
-    # over both heads: the grouped forward must be the function whose
-    # gradient the taped rule computes. The taped side's op projects q, k
-    # and v too.
+    # one-head groups, while the taped analytic side runs one piece over
+    # both heads: the grouped forward must be, bit for bit, the function
+    # whose gradient the taped rule computes.
     monkeypatch.setattr(O, "CHUNK", 16)
     rng = np.random.default_rng(seed)
     B, T, H, W, dim, heads = 2, 4, 2, 2, 6, 2
     spec = WindowSpec(temporal=2, spatial=(1, 2))
     p = random_attention_params(rng, dim, heads, window=(2, 1, 2))
     x = rng.normal(size=(B, T, H, W, dim))
-    groups, attention, qkv_attention = [], O.attention, O.qkv_attention
-
-    def counted(q, k, v, group_heads, bias):
-        groups.append(group_heads)
-        return attention(q, k, v, group_heads, bias)
-
-    def counted_layer(x, wq, bq, wk, bk, wv, bv, group_heads, bias):
-        groups.append(group_heads)
-        return qkv_attention(x, wq, bq, wk, bk, wv, bv, group_heads, bias)
-
-    monkeypatch.setattr(O, "attention", counted)
-    monkeypatch.setattr(O, "qkv_attention", counted_layer)
-    with no_tape():
-        grid_attention(constant(x), spec, p, heads)
+    assert len(O._pieces(heads, 4 * 4)) == heads
     with Tape():
-        grid_attention(parameter(x), spec, p, heads)
-    assert groups == [1, 1, 2]
+        taped = grid_attention(parameter(x), spec, p, heads)
+    untaped = grid_attention(constant(x), spec, p, heads)
+    assert untaped.data.tobytes() == taped.data.tobytes()
     check_attention_gradients(lambda x, a: grid_attention(x, spec, a, heads), x, p, seed)
 
 
@@ -262,8 +249,9 @@ def test_full_attention_gradients_by_finite_differences_with_key_mask(seed):
 
 
 def test_attention_records_one_op_for_its_core():
-    # One op projects q, k and v and attends; the output projection is a
-    # matmul and an add. Windowed attention adds partition, bias and merge.
+    # One op projects q, k and v and attends, looking up a window's bias
+    # itself; the output projection is a matmul and an add. Windowed
+    # attention adds partition and merge.
     rng = np.random.default_rng(9)
     p = {name: parameter(value.data) for name, value in random_attention_params(rng, 8, 2, window=(2, 1, 2)).items()}
     with Tape() as tape:
@@ -271,7 +259,7 @@ def test_attention_records_one_op_for_its_core():
     assert len(tape) == 3
     with Tape() as tape:
         grid_attention(parameter(rng.normal(size=(2, 4, 2, 2, 8))), WindowSpec(temporal=2, spatial=(1, 2)), p, 2)
-    assert len(tape) == 11
+    assert len(tape) == 9
 
 
 def test_window_bias_is_one_gather_bitwise_the_old_lookup():

@@ -356,12 +356,12 @@ def test_untaped_forward_is_the_taped_one_and_keeps_its_inputs(overlay, chunk, m
     assert digests([*params, ids, pad, patches]) == before
 
 
-@pytest.mark.parametrize("layers, ops", [(1, 99), (2, 154)])
+@pytest.mark.parametrize("layers, ops", [(1, 89), (2, 134)], ids=["one-block", "two-blocks"])
 def test_a_taped_video_stage_gathers_and_merges_once(layers, ops):
     """A taped video forward on the default schedule with `layers` blocks in
     every stage. Each stage gathers its grid into window layout once and
     merges it back once, so a second block in each of the five stages adds
-    only its own 11 ops."""
+    only its own 9 ops."""
     stages = [
         {"layers": layers, "dim": s.dim, "heads": s.heads, "temporal_window": s.temporal_window, "merge": s.merge}
         for s in default_config().model.video.stages

@@ -7,13 +7,13 @@ import weakref
 import numpy as np
 import pytest
 
+from longvid.attention import _table_bias, relative_index_map
 from longvid.engine import (
     DiffArray,
     EngineError,
     ShapeError,
     Tape,
     add,
-    attention,
     backward,
     check_gradients,
     concat,
@@ -853,27 +853,28 @@ def test_untaped_layernorm_is_bitwise_the_taped_op(shape):
 )
 def test_untaped_attention_is_bitwise_the_taped_op(qshape, bias_shape, learned):
     rng = np.random.default_rng(2)
-    qkv = [rng.normal(size=qshape) for _ in range(3)]
+    dim = qshape[-1]
+    arrays = [rng.normal(size=qshape)] + [rng.normal(size=s) for s in [(dim, dim), (dim,)] * 3]
     if learned:
-        assert_untaped_equals_taped(lambda q, k, v, b: attention(q, k, v, 2, b), *qkv, rng.normal(size=bias_shape))
+        assert_untaped_equals_taped(lambda *a: qkv_attention(*a[:7], 2, a[7]), *arrays, rng.normal(size=bias_shape))
         return
     mask = None
     if bias_shape is not None:
         mask = np.where(rng.random(bias_shape) < 0.3, -1e9, 0.0)
         mask[..., 0] = 0.0  # every query keeps one key
-    assert_untaped_equals_taped(lambda q, k, v: attention(q, k, v, 2, mask), *qkv)
+    assert_untaped_equals_taped(lambda *a: qkv_attention(*a, 2, mask), *arrays)
 
 
 @pytest.mark.parametrize("heads", [0, -2])
 def test_attention_rejects_a_head_count_below_one(heads):
-    q = constant(np.zeros((2, 3, 4)))
+    x, w, b = constant(np.zeros((2, 3, 4))), constant(np.zeros((4, 4))), constant(np.zeros(4))
     with pytest.raises(ShapeError) as e:
-        attention(q, q, q, heads)
+        qkv_attention(x, w, b, w, b, w, b, heads)
     assert str(e.value) == f"dim 4 not divisible by heads {heads}"
 
 
 # ---------------------------------------------------------------------------
-# the copy-free attention op: bitwise the copying one it replaced
+# the copying attention op: the reference the attention op is checked against
 # ---------------------------------------------------------------------------
 
 
@@ -935,6 +936,91 @@ def copying_attention(q, k, v, heads, bias=None):
     return record_op(DiffArray(out), inputs, bwd)
 
 
+# ---------------------------------------------------------------------------
+# qkv_attention: bitwise the composed projections and the copying op
+# ---------------------------------------------------------------------------
+
+
+def composed_qkv_attention(x, wq, bq, wk, bk, wv, bv, heads, bias=None, index=None):
+    """Three `linear`s as `params.linear` applies them, then
+    `copying_attention`; a table's bias is looked up first, in recorded ops,
+    by `attention._table_bias`."""
+    qkv = []
+    for w, b in ((wq, bq), (wk, bk), (wv, bv)):
+        y = matmul(x, w)
+        qkv.append(add(y, b, out=y))
+    return copying_attention(*qkv, heads, bias if index is None else _table_bias(as_diff(bias), index))
+
+
+# the window of n tokens whose relative-position table a "table" bias is
+TABLE_WINDOWS = {4: (2, 2, 1), 8: (2, 2, 2), 12: (3, 2, 2), 33: (3, 11, 1), 65: (5, 13, 1)}
+
+
+def qkv_arrays(rng, lead, n, dim, heads, bias_kind):
+    """x, the six leaves, the bias and its index: a relative (heads, n, n)
+    bias, a (rows, heads) relative-position table with the index map of a
+    window of n tokens, or an additive key mask over the leading shape."""
+    arrays = [rng.normal(size=(*lead, n, dim))]
+    for _ in range(3):
+        arrays += [rng.normal(size=(dim, dim)) / math.sqrt(dim), rng.normal(size=dim)]
+    if bias_kind == "relative":
+        return arrays, rng.normal(size=(heads, n, n)), None
+    if bias_kind == "table":
+        window = TABLE_WINDOWS[n]
+        return arrays, rng.normal(size=(math.prod(2 * w - 1 for w in window), heads)), relative_index_map(window)
+    mask = np.where(rng.random((*lead, 1, 1, n)) < 0.3, -1e9, 0.0)
+    mask[..., 0] = 0.0  # every query keeps one key
+    return arrays, mask, None
+
+
+def qkv_run(op, arrays, bias, index, heads, g, needs=(True,) * 8):
+    """Output bytes, multiply-adds and the gradients of the arrays and of a
+    relative bias or table (those that `needs`), after one taped backward
+    of sum(op(...) * g); and the ops recorded before the loss. Key masks
+    here are at least 4-d, relative biases 3-d and tables 2-d."""
+    inputs = [(parameter if need else constant)(a.copy()) for a, need in zip(arrays, needs)]
+    learned = bias.ndim < 4 and needs[7]
+    b = parameter(bias.copy()) if learned else bias
+    with count_multiply_adds() as count, Tape() as tape:
+        y = op(*inputs, heads, b, index)
+        recorded = len(tape)
+        tape.backward(asum(mul(y, constant(g))))
+    grads = [a.grad.tobytes() for a in inputs if a.requires_grad] + ([b.grad.tobytes()] if learned else [])
+    assert [a.data.tobytes() for a in inputs] == [a.tobytes() for a in arrays]
+    return [y.data.tobytes(), count.multiply_adds, *grads], recorded
+
+
+def check_qkv_attention_against_composed(rng, lead, n, dim, heads, bias_kind):
+    """Output, multiply-adds and the gradients of x, the six leaves and a
+    learned bias or table, taped, against three linears and the copying op;
+    the untaped op against the taped one. The op records once, and each
+    gradient it returns is a new C-contiguous buffer that `Tape.backward`
+    keeps without a copy."""
+    arrays, bias, index = qkv_arrays(rng, lead, n, dim, heads, bias_kind)
+    g = rng.normal(size=arrays[0].shape)
+    (got, recorded), (want, _) = (qkv_run(op, arrays, bias, index, heads, g) for op in (qkv_attention, composed_qkv_attention))
+    assert recorded == 1
+    assert len(got) == (9 if bias_kind == "key-mask" else 10)
+    assert got == want
+    with count_multiply_adds() as count:
+        untaped = qkv_attention(*(constant(a) for a in arrays), heads, bias, index)
+    assert [untaped.data.tobytes(), count.multiply_adds] == got[:2]
+    with Tape() as tape:
+        qkv_attention(*(parameter(a) for a in arrays), heads, bias if bias_kind == "key-mask" else parameter(bias), index)
+    assert all(gi.flags.c_contiguous and gi.flags.owndata for gi in tape.ops[-1].backward_fn(g) if gi is not None)
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 1024], ids=["chunk", "small-chunk"])
+@pytest.mark.parametrize("bias_kind", ["relative", "key-mask", "table"])
+@pytest.mark.parametrize("n", [4, 8, 33, 65])
+@pytest.mark.parametrize("lead", [(5,), (3, 2)], ids=["3-d", "4-d"])
+def test_qkv_attention_is_bitwise_the_composed_ops(lead, n, bias_kind, chunk, monkeypatch):
+    """At the small chunk, n = 33 and 65 attend in one-head groups off the
+    tape, each group's bias gathered from the table by itself."""
+    monkeypatch.setattr(ops, "CHUNK", chunk)
+    check_qkv_attention_against_composed(np.random.default_rng(n), lead, n, 32, 4, bias_kind)
+
+
 # (lead, n, dim, heads): the default dims at each key count, then shapes at
 # which a strided kᵀ changed the last bits of q·kᵀ or of q's gradient
 COPY_FREE_SHAPES = [((6, 5), n, 32, 4) for n in (4, 8, 16, 32, 33, 65)] + [
@@ -949,135 +1035,40 @@ COPY_FREE_SHAPES = [((6, 5), n, 32, 4) for n in (4, 8, 16, 32, 33, 65)] + [
 @pytest.mark.parametrize("bias_kind", ["relative", "key-mask"])
 @pytest.mark.parametrize("lead, n, dim, heads", COPY_FREE_SHAPES, ids=lambda x: "x".join(map(str, x)) if isinstance(x, tuple) else str(x))
 def test_attention_is_bitwise_the_copying_op(lead, n, dim, heads, bias_kind, chunk, monkeypatch):
+    """The check of `test_qkv_attention_is_bitwise_the_composed_ops` at
+    COPY_FREE_SHAPES."""
     monkeypatch.setattr(ops, "CHUNK", chunk)
-    rng = np.random.default_rng(n + dim)
-    qkv = [rng.normal(size=(*lead, n, dim)) for _ in range(3)]
-    if bias_kind == "relative":
-        bias = rng.normal(size=(heads, n, n))
-    else:
-        bias = np.where(rng.random((*lead, 1, 1, n)) < 0.3, -1e9, 0.0)
-        bias[..., 0] = 0.0  # every query keeps one key
-    g = rng.normal(size=qkv[0].shape)
-    results = []
-    for op in (attention, copying_attention):
-        untaped = op(*(constant(a) for a in qkv), heads, bias)
-        params = [parameter(a) for a in qkv]
-        with Tape() as tape:
-            taped = op(*params, heads, parameter(bias) if bias_kind == "relative" else bias)
-        grads = tape.ops[-1].backward_fn(g)
-        results.append([untaped.data.tobytes(), taped.data.tobytes()] + [gi.tobytes() for gi in grads if gi is not None])
-    assert len(results[0]) == (6 if bias_kind == "relative" else 5)
-    assert results[0] == results[1]
+    check_qkv_attention_against_composed(np.random.default_rng(n + dim), lead, n, dim, heads, bias_kind)
 
 
-def test_a_taped_attention_op_keeps_its_output_and_probabilities():
-    """Bytes a taped attention op leaves allocated while its output and the
-    tape live: the output and the (…, heads, n, n) probabilities, with slack
-    for the Python objects and the record. Per-head copies of q, kᵀ and v
-    would add three output sizes."""
-    rng = np.random.default_rng(7)
-    q, k, v = (parameter(rng.normal(size=(8, 16, 8, 32))) for _ in range(3))
-    with Tape() as tape:
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = attention(q, k, v, 4)
-            left = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-    probs = 8 * 16 * 4 * 8 * 8 * 8
-    assert tape.ops[-1].output is out
-    assert left <= out.data.nbytes + probs + out.data.nbytes // 16
+def test_qkv_attention_rejects_an_index_outside_the_table():
+    x, w, b = constant(np.zeros((2, 4, 4))), constant(np.zeros((4, 4))), constant(np.zeros(4))
+    for index in (np.full((4, 4), 7), np.full((4, 4), -1)):
+        with pytest.raises(ShapeError, match=r"qkv_attention indices out of range \[0, 7\)"):
+            qkv_attention(x, w, b, w, b, w, b, 2, constant(np.zeros((7, 2))), index)
 
 
-# ---------------------------------------------------------------------------
-# qkv_attention: bitwise the composed projections and attention
-# ---------------------------------------------------------------------------
-
-
-def composed_qkv_attention(x, wq, bq, wk, bk, wv, bv, heads, bias=None):
-    """Three `linear`s as `params.linear` applies them, then `attention`."""
-    qkv = []
-    for w, b in ((wq, bq), (wk, bk), (wv, bv)):
-        y = matmul(x, w)
-        qkv.append(add(y, b, out=y))
-    return attention(*qkv, heads, bias)
-
-
-def qkv_arrays(rng, lead, n, dim, heads, bias_kind):
-    """x, the six leaves and the bias: a relative (heads, n, n) table or an
-    additive key mask over the leading shape."""
-    arrays = [rng.normal(size=(*lead, n, dim))]
-    for _ in range(3):
-        arrays += [rng.normal(size=(dim, dim)) / math.sqrt(dim), rng.normal(size=dim)]
-    if bias_kind == "relative":
-        return arrays, rng.normal(size=(heads, n, n))
-    mask = np.where(rng.random((*lead, 1, 1, n)) < 0.3, -1e9, 0.0)
-    mask[..., 0] = 0.0  # every query keeps one key
-    return arrays, mask
-
-
-def qkv_run(op, arrays, bias, heads, g, needs=(True,) * 8):
-    """Output bytes, multiply-adds and the gradients of the arrays and of a
-    relative bias (those that `needs`), after one taped backward of
-    sum(op(...) * g); and the ops recorded before the loss."""
-    inputs = [(parameter if need else constant)(a.copy()) for a, need in zip(arrays, needs)]
-    learned = bias.ndim == 3 and needs[7]
-    b = parameter(bias.copy()) if learned else bias
-    with count_multiply_adds() as count, Tape() as tape:
-        y = op(*inputs, heads, b)
-        recorded = len(tape)
-        tape.backward(asum(mul(y, constant(g))))
-    grads = [a.grad.tobytes() for a in inputs if a.requires_grad] + ([b.grad.tobytes()] if learned else [])
-    assert [a.data.tobytes() for a in inputs] == [a.tobytes() for a in arrays]
-    return [y.data.tobytes(), count.multiply_adds, *grads], recorded
-
-
-@pytest.mark.parametrize("chunk", [CHUNK, 1024], ids=["chunk", "small-chunk"])
-@pytest.mark.parametrize("bias_kind", ["relative", "key-mask"])
-@pytest.mark.parametrize("n", [4, 8, 33, 65])
-@pytest.mark.parametrize("lead", [(5,), (3, 2)], ids=["3-d", "4-d"])
-def test_qkv_attention_is_bitwise_the_composed_ops(lead, n, bias_kind, chunk, monkeypatch):
-    """Output, multiply-adds and the gradients of x, the six leaves and a
-    learned bias, taped, against three linears and attention; the untaped
-    op against the taped one. The op records once, and each gradient it
-    returns is a new C-contiguous buffer that `Tape.backward` keeps without
-    a copy."""
-    monkeypatch.setattr(ops, "CHUNK", chunk)
-    dim, heads = 32, 4
-    rng = np.random.default_rng(n)
-    arrays, bias = qkv_arrays(rng, lead, n, dim, heads, bias_kind)
-    g = rng.normal(size=arrays[0].shape)
-    (got, recorded), (want, _) = (qkv_run(op, arrays, bias, heads, g) for op in (qkv_attention, composed_qkv_attention))
-    assert recorded == 1
-    assert len(got) == (10 if bias_kind == "relative" else 9)
-    assert got == want
-    with count_multiply_adds() as count:
-        untaped = qkv_attention(*(constant(a) for a in arrays), heads, bias)
-    assert [untaped.data.tobytes(), count.multiply_adds] == got[:2]
-    with Tape() as tape:
-        qkv_attention(*(parameter(a) for a in arrays), heads, parameter(bias) if bias_kind == "relative" else bias)
-    assert all(gi.flags.c_contiguous and gi.flags.owndata for gi in tape.ops[-1].backward_fn(g) if gi is not None)
-
-
-# which of x, the six leaves and the relative bias need a gradient
+# which of x, the six leaves and the relative bias or table need a gradient
 QKV_NEEDS = {"x": (1,) + (0,) * 7, "weights": (0,) + (1,) * 6 + (0,), "bias": (0,) * 7 + (1,), "q-frozen": (1, 0, 0, 1, 1, 1, 1, 1)}
 
 
 @pytest.mark.parametrize("needs", QKV_NEEDS.values(), ids=QKV_NEEDS)
 def test_qkv_attention_skips_what_needs_no_gradient(needs):
     rng = np.random.default_rng(13)
-    arrays, bias = qkv_arrays(rng, (3,), 12, 16, 2, "relative")
-    g = rng.normal(size=arrays[0].shape)
-    (got, recorded), (want, _) = (qkv_run(op, arrays, bias, 2, g, needs) for op in (qkv_attention, composed_qkv_attention))
-    assert recorded == 1
-    assert len(got) == 2 + sum(needs)
-    assert got == want
+    for bias_kind in ("relative", "table"):
+        arrays, bias, index = qkv_arrays(rng, (3,), 12, 16, 2, bias_kind)
+        g = rng.normal(size=arrays[0].shape)
+        (got, recorded), (want, _) = (qkv_run(op, arrays, bias, index, 2, g, needs) for op in (qkv_attention, composed_qkv_attention))
+        assert recorded == 1
+        assert len(got) == 2 + sum(needs)
+        assert got == want
 
 
 def test_a_taped_qkv_attention_op_keeps_its_output_and_probabilities():
-    """As for `attention`: the output and the probabilities, with slack.
-    Keeping q, k and v would add three output sizes."""
+    """Bytes a taped attention op leaves allocated while its output and the
+    tape live: the output and the (…, heads, n, n) probabilities, with slack
+    for the Python objects and the record. Keeping q, k and v, or per-head
+    copies of them, would add three output sizes."""
     rng = np.random.default_rng(7)
     x = parameter(rng.normal(size=(8, 16, 8, 32)))
     leaves = [parameter(rng.normal(size=s)) for s in [(32, 32), (32,)] * 3]
@@ -1097,10 +1088,11 @@ def test_a_taped_qkv_attention_op_keeps_its_output_and_probabilities():
 def test_backward_drops_each_replayed_record():
     rng = np.random.default_rng(8)
     x = rand(rng, 3, 4, 8)
+    leaves = [rand(rng, *s) for s in [(8, 8), (8,)] * 3]
     held = np.ones(x.shape)
     with Tape() as tape:
         y = record_op(DiffArray(x.data * 2.0), (x,), lambda g, held=held: (g * held,))
-        loss = asum(attention(y, y, y, 2))
+        loss = asum(qkv_attention(y, *leaves, 2))
     bwd = tape.ops[1].backward_fn
     kept = [weakref.ref(held), weakref.ref(bwd.__closure__[bwd.__code__.co_freevars.index("probs")].cell_contents)]
     del held, bwd
