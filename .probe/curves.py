@@ -16,7 +16,7 @@ def train_with_evals(cfg, train, ev, total_steps, eval_every):
         tokens, pad, patches = stack_batch([train[i] for i in idx])
         for p in state.params.values(): p.zero_grad()
         with Tape() as tape:
-            total, lg, lm = PL.stage1_batch_loss(model, cfg, tokens, pad, patches, step, cfg.seed)
+            total, lg, lm = PL.stage1_batch_loss(model, cfg, tokens, pad, patches, step)
             tape.backward(total)
         PL.adamw_step(state, lr, cfg)
         if (step+1) % eval_every == 0:

@@ -163,9 +163,9 @@ def step_census(stage: int) -> tuple[int, int, int, int, list[str]]:
     try:
         with Tape() as tape:
             if stage == 1:
-                stage1_batch_loss(model, cfg, *stack_batch(batch), 0, cfg.seed)
+                stage1_batch_loss(model, cfg, *stack_batch(batch), 0)
             else:
-                stage2_batch_loss(model, cfg, batch, 0, cfg.seed, frozen)
+                stage2_batch_loss(model, cfg, batch, 0, frozen)
     finally:
         ops.matmul = matmul
     (outputs, private), = tape_census(tape.ops, [len(tape)])

@@ -12,10 +12,7 @@ Off the tape each op builds no full-size temporary: `gelu`, `layernorm`
 and `qkv_attention` write into one output they allocate and walk it in
 pieces of about CHUNK elements (attention in groups of heads, too),
 `add(..., out=)` writes into an operand its caller owns, and `reshape`
-returns a view. `gelu` shares add's `out` rule: `out`, if given, is the
-input, a result its caller's own op just allocated. Off the tape gelu
-writes into it; when a tape records it ignores `out`, since its backward
-reads the input.
+returns a view.
 
 Two ops take a layer's input, so that a tape keeps no product that is one
 GEMM away from a buffer it holds anyway. `qkv_attention` projects q, k and
@@ -587,18 +584,11 @@ def _gelu_slope(xs: np.ndarray, t: np.ndarray, u: np.ndarray, o: np.ndarray, val
     o += t
 
 
-def gelu(x: DiffArray, out: DiffArray | None = None) -> DiffArray:
+def gelu(x: DiffArray) -> DiffArray:
     """tanh-form GELU, piece by piece into one new array; the backward
-    recomputes x² and the tanh from x, piece by piece into the gradient.
-
-    out, if given, is x, as for `add`: a result its caller's own op just
-    allocated. Off the tape the result is written into x's buffer, each
-    piece's tanh term formed before its x is overwritten, and returned as a
-    new array. When a tape records, out is ignored: the backward reads x."""
-    if out is not None and out is not x:
-        raise ShapeError("gelu's out must be its input x")
+    recomputes x² and the tanh from x, piece by piece into the gradient."""
     xd = x.data
-    out = xd if out is not None and not _records((x,)) else np.empty_like(xd)
+    out = np.empty_like(xd)
     flat = xd.reshape(-1)
     _gelu_into(flat, out.reshape(-1))
 
@@ -675,16 +665,28 @@ def feed_forward(x: DiffArray, w1: DiffArray, b1: DiffArray, w2: DiffArray) -> D
     return record_op(out, (x, w1, b1, w2), bwd)
 
 
-def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12) -> DiffArray:
+def _normalize(xs: np.ndarray, o: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """x̂ = (x - mean)/√(var + 1e-12) of the rows xs into o, through the
+    first len(xs) rows of scratch; returns the rows' 1/√(var + 1e-12)."""
+    sq = scratch[: len(xs)]
+    np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=o)
+    np.multiply(o, o, out=sq)
+    inv = sq.mean(axis=-1, keepdims=True)
+    inv += 1e-12
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    o *= inv
+    return inv
+
+
+def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray) -> DiffArray:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    The tiny default eps keeps normalized rows within 1e-9 of unit variance
-    at float64 while still guarding constant rows. The forward works whole
-    rows at a time into one new array; the backward recomputes the
-    normalized rows from x in the same pieces.
+    The variance floor of 1e-12 keeps normalized rows within 1e-9 of unit
+    variance at float64 while still guarding constant rows. The forward
+    works whole rows at a time into one new array; the backward recomputes
+    the normalized rows from x in the same pieces.
     """
-    if eps <= 0:
-        raise ShapeError("layernorm eps must be > 0")
     gain, bias = as_diff(gain), as_diff(bias)
     d = x.shape[-1]
     out = np.empty_like(x.data)
@@ -693,15 +695,8 @@ def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12
     pieces = _pieces(len(rows), d)
     scratch = np.empty_like(rows[pieces[0]]) if pieces else None
     for s in pieces:
-        xs, o = rows[s], orows[s]
-        sq = scratch[: len(xs)]
-        np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=o)
-        np.multiply(o, o, out=sq)
-        inv = sq.mean(axis=-1, keepdims=True)
-        inv += eps
-        np.sqrt(inv, out=inv)
-        np.divide(1.0, inv, out=inv)
-        o *= inv
+        o = orows[s]
+        _normalize(rows[s], o, scratch)
         o *= g1
         o += b1
 
@@ -712,15 +707,9 @@ def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12
         grows, drows, gxrows = g.reshape(-1, d), dx.reshape(-1, d), gxhat.reshape(-1, d)
         scratch = np.empty_like(rows[pieces[0]]) if pieces else None
         for s in pieces:
-            xs, gs, o, gx = rows[s], grows[s], drows[s], gxrows[s]
-            dxh = scratch[: len(xs)]
-            np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=o)
-            np.multiply(o, o, out=dxh)
-            inv = dxh.mean(axis=-1, keepdims=True)
-            inv += eps
-            np.sqrt(inv, out=inv)
-            np.divide(1.0, inv, out=inv)
-            o *= inv
+            gs, o, gx = grows[s], drows[s], gxrows[s]
+            inv = _normalize(rows[s], o, scratch)
+            dxh = scratch[: len(o)]
             np.multiply(gs, g1, out=dxh)
             np.multiply(dxh, o, out=gx)
             m = gx.mean(axis=-1, keepdims=True)
@@ -735,9 +724,10 @@ def layernorm(x: DiffArray, gain: DiffArray, bias: DiffArray, eps: float = 1e-12
     return record_op(DiffArray(out), (x, gain, bias), bwd)
 
 
-def l2_normalize(x: DiffArray, eps: float = 1e-24) -> DiffArray:
-    """Scale rows (last axis) to unit L2 norm."""
-    n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + eps)
+def l2_normalize(x: DiffArray) -> DiffArray:
+    """Scale rows (last axis) to unit L2 norm. The squared norm's floor of
+    1e-24 sends an all-zero row to zeros, with a finite gradient."""
+    n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) + 1e-24)
     y = x.data / n
     out = DiffArray(y)
 

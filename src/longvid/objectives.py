@@ -180,56 +180,30 @@ def mtc_plan(seed_key: tuple, direction: str, sample_keys: tuple, M: int, sampli
     return plan
 
 
-def mtc_loss(
-    clip_reps: DiffArray,
-    sentence_reps: DiffArray,
-    sampling: MtcSampling,
-    temperature: float,
-    seed_key,
-    sample_keys: list[int] | None = None,
-    negatives_fn=None,
-) -> DiffArray:
+def mtc_loss(clip_reps: DiffArray, sentence_reps: DiffArray, sampling: MtcSampling, temperature: float, seed_key) -> DiffArray:
     """Batch temporal contrastive loss, averaged over both directions.
 
-    clip_reps / sentence_reps: (B, M, d) unit-norm. Every draw comes from a
-    stream keyed by (seed_key, direction, sample key). The sample key is the
-    batch position unless `sample_keys` gives one per sample, so with the
-    default (every program call) a sample's draws depend on where it sits in
-    the batch. `sample_keys` exists for the duplication-invariance test,
-    which gives two copies of a sample the same key. Cross-sample negatives
-    come from the other samples' representations of the candidate modality
-    (sentences when clips anchor, clips when sentences anchor);
-    `negatives_fn(direction, sample, rng)` overrides the draw for tests: it
-    gets each sample's stream before the anchor and candidate draws, returns
-    that sample's (n, d) negatives (the same n for every sample, or None
-    for all), and bypasses the plan cache.
+    clip_reps / sentence_reps: (B, M, d) unit-norm. Every draw of a sample
+    comes from the stream keyed by (seed_key, direction, batch position),
+    as `mtc_plan` lays it out, so a sample's draws depend on where it sits
+    in the batch. Cross-sample negatives come from the other samples'
+    representations of the candidate modality (sentences when clips anchor,
+    clips when sentences anchor).
     """
     B, M, d = clip_reps.shape
     if sentence_reps.shape != (B, M, d):
         raise EngineError(f"shape mismatch: {clip_reps.shape} vs {sentence_reps.shape}")
-    if sample_keys is not None and len(sample_keys) != B:
-        raise EngineError(f"sample_keys length {len(sample_keys)} != batch {B}")
     _check_pair(M, sampling, temperature)
     if B == 1 and sampling.cross_negatives > 0:
         warnings.warn("batch of one sample has no cross-sample negatives; using none", stacklevel=2)
         sampling = MtcSampling(sampling.anchors, sampling.candidates, 0)
     seed_key = tuple(seed_key)
-    keys = tuple(sample_keys) if sample_keys is not None else tuple(range(B))
     clips, sentences = O.reshape(clip_reps, (B * M, d)), O.reshape(sentence_reps, (B * M, d))
 
     def one_direction(direction: str, anchor_flat: DiffArray, cand_flat: DiffArray) -> DiffArray:
-        if negatives_fn is None:
-            plan = mtc_plan(seed_key, direction, keys, M, sampling)
-            anchor_rows, cand_rows, labels = plan.anchor_rows, plan.candidate_rows, plan.labels
-            negatives = O.take(cand_flat, plan.negative_rows) if sampling.cross_negatives else None
-        else:
-            rngs = [sample_rng(seed_key, direction, key) for key in keys]
-            drawn = [negatives_fn(direction, b, rng) for b, rng in enumerate(rngs)]
-            anchor_rows, cand_rows, labels = _position_rows(rngs, M, sampling)
-            negatives = None
-            if drawn[0] is not None:
-                negatives = O.concat([O.reshape(x, (1, *x.shape)) for x in drawn], axis=0)
-        return _mtc_kernel(anchor_flat, cand_flat, anchor_rows, cand_rows, negatives, labels, temperature)
+        plan = mtc_plan(seed_key, direction, tuple(range(B)), M, sampling)
+        negatives = O.take(cand_flat, plan.negative_rows) if sampling.cross_negatives else None
+        return _mtc_kernel(anchor_flat, cand_flat, plan.anchor_rows, plan.candidate_rows, negatives, plan.labels, temperature)
 
     v2t = one_direction("v2t", clips, sentences)
     t2v = one_direction("t2v", sentences, clips)

@@ -338,8 +338,9 @@ def _train(
 # ---------------------------------------------------------------------------
 
 
-def stage1_batch_loss(model: Stage1Model, cfg: Config, tokens, pad, patches, step: int, seed: int):
-    """Forward of one stage-one batch; returns (total, global, mtc) losses."""
+def stage1_batch_loss(model: Stage1Model, cfg: Config, tokens, pad, patches, step: int):
+    """Forward of one stage-one batch; returns (total, global, mtc) losses.
+    The MTC draws are keyed by `cfg.seed` and the step."""
     lo = cfg.losses
     pair = encode_pair(model.text, model.video, model.heads, tokens, pad, constant(patches))
     l_global = global_contrastive_loss(pair.video_rep, pair.paragraph_rep, lo.temperature)
@@ -347,7 +348,7 @@ def stage1_batch_loss(model: Stage1Model, cfg: Config, tokens, pad, patches, ste
     if lo.mtc_weight > 0.0:
         sampling = MtcSampling(lo.anchor_count, lo.candidate_count, lo.cross_negative_count)
         l_mtc = mtc_loss(
-            pair.clip_reps, pair.sentence_reps, sampling, lo.temperature, seed_key=(seed, _MTC_STREAM, step)
+            pair.clip_reps, pair.sentence_reps, sampling, lo.temperature, seed_key=(cfg.seed, _MTC_STREAM, step)
         )
     total = stage1_loss(l_global, l_mtc, lo.mtc_weight)
     return total, l_global, l_mtc
@@ -364,7 +365,7 @@ def train_stage1(
 
     def batch_loss(idx: np.ndarray, step: int):
         batch = stack_batch([train_data[i] for i in idx])
-        total, l_global, l_mtc = stage1_batch_loss(model, cfg, *batch, step, cfg.seed)
+        total, l_global, l_mtc = stage1_batch_loss(model, cfg, *batch, step)
         return total, {"loss_global": l_global, "loss_mtc": l_mtc}
 
     total_steps = steps if steps is not None else cfg.train.stage1_steps
@@ -405,7 +406,7 @@ def encode_frozen(stage1: Stage1Model, samples: list[PairedSample], batch_size: 
     return FrozenFeatures(*(np.concatenate(col) for col in zip(*parts)))
 
 
-def stage2_batch_loss(model: Stage2Model, cfg: Config, batch: list[PairedSample], step: int, seed: int, frozen: FrozenFeatures):
+def stage2_batch_loss(model: Stage2Model, cfg: Config, batch: list[PairedSample], step: int, frozen: FrozenFeatures):
     """Two cross-modal forwards per step: masked-token prediction over the
     matched pair, and matching over probabilistically replaced videos.
 
@@ -413,11 +414,12 @@ def stage2_batch_loss(model: Stage2Model, cfg: Config, batch: list[PairedSample]
     depends on the step: its forward runs here, off tape. The unmasked text
     tokens and the video feature maps are read from `frozen`, and
     `vtm_pairs` swaps feature-map rows as it would swap the patches they
-    were encoded from."""
+    were encoded from. The mask and replacement draws are keyed by
+    `cfg.seed` and the step."""
     lo = cfg.losses
     tokens = np.stack([s.tokens for s in batch])
-    masked = mask_tokens(tokens, lo.mask_rate, np.random.default_rng([seed, _MASK_STREAM, step]), cfg.data.vocab_size)
-    mixed, labels = vtm_pairs(frozen.feature_map, lo.vtm_replace_prob, np.random.default_rng([seed, _VTM_STREAM, step]))
+    masked = mask_tokens(tokens, lo.mask_rate, np.random.default_rng([cfg.seed, _MASK_STREAM, step]), cfg.data.vocab_size)
+    mixed, labels = vtm_pairs(frozen.feature_map, lo.vtm_replace_prob, np.random.default_rng([cfg.seed, _VTM_STREAM, step]))
 
     with no_tape():
         tout_masked = model.stage1.text.forward(masked.token_ids, tokens != PAD_ID)
@@ -452,7 +454,7 @@ def train_stage2(
 
     def batch_loss(idx: np.ndarray, step: int):
         batch = [train_data[i] for i in idx]
-        total, l_mlm, l_vtm = stage2_batch_loss(model, cfg, batch, step, cfg.seed, frozen.rows(idx))
+        total, l_mlm, l_vtm = stage2_batch_loss(model, cfg, batch, step, frozen.rows(idx))
         return total, {"loss_mlm": l_mlm, "loss_vtm": l_vtm}
 
     total_steps = steps if steps is not None else cfg.train.stage2_steps
@@ -640,7 +642,7 @@ def gradcheck_stage1(
         paths, arrays = list(flat), list(flat.values())
 
         def loss_on(m: Stage1Model):
-            return lambda *_: stage1_batch_loss(m, run_cfg, tokens, pad, patches, step=0, seed=seed)[0]
+            return lambda *_: stage1_batch_loss(m, run_cfg, tokens, pad, patches, step=0)[0]
 
         # A numeric evaluation re-runs only the encoder that owns the perturbed
         # array (its path's first component); the others replay their outputs,

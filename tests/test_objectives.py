@@ -149,36 +149,6 @@ def test_batch_loss_warns_on_single_sample_with_negatives():
         mtc_loss(reps, reps, MtcSampling(2, 2, 3), 0.05, seed_key=(0,))
 
 
-def test_batch_loss_duplication_invariance():
-    rng = np.random.default_rng(6)
-    v = unit_rows(rng, 2, 4, 8)
-    t = unit_rows(rng, 2, 4, 8)
-    sampling = MtcSampling(2, 2, 3)
-    frozen_negs = {
-        (d, key): constant(unit_rows(np.random.default_rng([17, i, j]), 3, 8))
-        for i, d in enumerate(("v2t", "t2v"))
-        for j, key in enumerate((0, 1))
-    }
-
-    def negatives_fn_small(direction, b, rng_b):
-        return frozen_negs[(direction, b)]
-
-    def negatives_fn_doubled(direction, b, rng_b):
-        return frozen_negs[(direction, b % 2)]
-
-    small = mtc_loss(constant(v), constant(t), sampling, 0.05, seed_key=(3,), negatives_fn=negatives_fn_small)
-    doubled = mtc_loss(
-        constant(np.concatenate([v, v])),
-        constant(np.concatenate([t, t])),
-        sampling,
-        0.05,
-        seed_key=(3,),
-        sample_keys=[0, 1, 0, 1],
-        negatives_fn=negatives_fn_doubled,
-    )
-    assert doubled.item() == pytest.approx(small.item(), rel=1e-12)
-
-
 def test_batch_loss_nonnegative():
     rng = np.random.default_rng(7)
     v = constant(unit_rows(rng, 3, 4, 8))

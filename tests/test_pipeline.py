@@ -312,7 +312,7 @@ def test_stage2_frozen_parameters_have_zero_gradient(tiny_cfg, tiny_data, stage1
     for p in params.values():
         p.zero_grad()
     with Tape() as tape:
-        total, _, _ = stage2_batch_loss(model, tiny_cfg, train[:2], step=0, seed=0, frozen=encode_frozen(model.stage1, train[:2]))
+        total, _, _ = stage2_batch_loss(model, tiny_cfg, train[:2], step=0, frozen=encode_frozen(model.stage1, train[:2]))
         tape.backward(total)
     for path, p in params.items():
         if any(path.startswith(pre) for pre in STAGE2_FROZEN_PREFIXES):
