@@ -2,7 +2,8 @@
 
 Shows the nearest-in-time positive rule, the cross-sample negatives, and
 that temporally aligned representations score a lower loss than a shuffled
-alignment. Every value is recomputed by the pure-python oracle.
+alignment. The loss of one sample is recomputed by the pure-python oracle
+from the draws of the loss's own plan.
 """
 
 import numpy as np
@@ -15,31 +16,34 @@ from longvid.objectives import (
     brute_force_pair_loss,
     brute_force_positive,
     mtc_loss,
-    mtc_pair_loss,
-    select_positive,
+    mtc_plan,
+    positive_labels,
 )
 
-# Positive selection: min |anchor - candidate|, ties to the lower index.
-print("anchor=1, candidates {0, 3} ->", select_positive(1, [0, 3]))
-print("anchor=2, candidates {1, 3} ->", select_positive(2, [1, 3]), "(tie, lower index)")
-assert select_positive(2, [1, 3]) == brute_force_positive(2, [1, 3])
+# Positive selection: min |anchor - candidate|, ties to the lower position.
+for anchor, cands in ((1, [0, 3]), (2, [1, 3])):
+    picked = cands[positive_labels(np.array([anchor]), np.array(cands))[0]]
+    print(f"anchor={anchor}, candidates {cands} -> {picked}")
+    assert picked == brute_force_positive(anchor, cands)
 
 rng = np.random.default_rng(0)
 M, d = 4, 16
-base = rng.normal(size=(M, d))
-base /= np.linalg.norm(base, axis=1, keepdims=True)
+base = rng.normal(size=(1, M, d))
+base /= np.linalg.norm(base, axis=-1, keepdims=True)
 
 sampling = MtcSampling(anchors=2, candidates=2, cross_negatives=0)
-aligned = mtc_pair_loss(constant(base), constant(base), None, sampling, 0.05, np.random.default_rng(1))
-shuffled = mtc_pair_loss(constant(base), constant(base[::-1].copy()), None, sampling, 0.05, np.random.default_rng(1))
+aligned = mtc_loss(constant(base), constant(base), sampling, 0.05, seed_key=(1,))
+shuffled = mtc_loss(constant(base), constant(base[:, ::-1].copy()), sampling, 0.05, seed_key=(1,))
 print(f"\naligned loss {aligned.item():.4f} < shuffled loss {shuffled.item():.4f}: {aligned.item() < shuffled.item()}")
 
-# Oracle recomputation with math.exp/log, reproducing the exact same draws.
-replay = np.random.default_rng(1)
-anchor_idx = np.sort(replay.choice(M, size=2, replace=False))
-cand_idx = np.sort(replay.choice(M, size=2, replace=False))
-oracle = brute_force_pair_loss(base, base, None, anchor_idx, cand_idx, 0.05)
+# Oracle recomputation with math.exp/log over the same draws, both
+# directions averaged as the loss averages them.
+oracle = 0.0
+for direction in ("v2t", "t2v"):
+    plan = mtc_plan((1,), direction, (0,), M, sampling)
+    oracle += brute_force_pair_loss(base[0], base[0], None, plan.anchor_rows[0], plan.candidate_rows[0], 0.05) / 2
 print(f"engine {aligned.item():.12f} vs oracle {oracle:.12f}, diff {abs(aligned.item() - oracle):.2e}")
+assert abs(aligned.item() - oracle) < 1e-10
 
 # Batch form on generated data: clip reps of sample i against sentence reps,
 # negatives drawn from the other samples, both directions averaged.

@@ -174,14 +174,14 @@ def window_merge(blocks: DiffArray, spec: WindowSpec, t: int, h: int, w: int) ->
 
 
 def relative_index_map(window: tuple[int, int, int]) -> np.ndarray:
-    """Pairwise relative-offset index for tokens of one (w, sh, sw) window."""
-    w, sh, sw = window
-    coords = np.array([(t, i, j) for t in range(w) for i in range(sh) for j in range(sw)], dtype=np.int64)
-    delta = coords[:, None, :] - coords[None, :, :]
-    dt = delta[..., 0] + w - 1
-    dh = delta[..., 1] + sh - 1
-    dw = delta[..., 2] + sw - 1
-    return (dt * (2 * sh - 1) + dh) * (2 * sw - 1) + dw
+    """Pairwise relative-offset index for tokens of one (w, sh, sw) window:
+    entry (p, q) is the row of token p's offset to token q in a table of
+    (2w-1)(2sh-1)(2sw-1) offsets. Built from one axis's offsets at a time,
+    with no (n, n, 3) offset array."""
+    index = 0
+    for c, n in zip(np.unravel_index(np.arange(np.prod(window)), window), window):
+        index = index * (2 * n - 1) + (c[:, None] - c + (n - 1))
+    return index
 
 
 def init_attention_params(rng: np.random.Generator, dim: int, heads: int, window: tuple[int, int, int] | None = None) -> dict:

@@ -32,16 +32,6 @@ class GradCheckResult:
     mismatches: list[GradMismatch] = field(default_factory=list)
 
 
-def analytic_gradients(f, arrays: list[DiffArray]) -> list[np.ndarray]:
-    """Gradients of the scalar f(*arrays) via one tape replay."""
-    for a in arrays:
-        a.zero_grad()
-    with Tape() as tape:
-        loss = f(*arrays)
-        tape.backward(loss)
-    return [np.zeros_like(a.data) if a.grad is None else a.grad.copy() for a in arrays]
-
-
 def numeric_gradient(f, arrays: list[DiffArray], which: int, h: float = DEFAULT_STEP, entries=None) -> np.ndarray:
     """Central differences of f w.r.t. one array, entry by entry.
 
@@ -82,7 +72,11 @@ def check_gradients(
     """
     if entries is None:
         entries = {k: range(a.size) for k, a in enumerate(arrays) if a.requires_grad}
-    analytic = analytic_gradients(f, arrays)
+    for a in arrays:
+        a.zero_grad()
+    with Tape() as tape:
+        tape.backward(f(*arrays))
+    analytic = [np.zeros_like(a.data) if a.grad is None else a.grad.copy() for a in arrays]
     max_diff = 0.0
     mismatches: list[GradMismatch] = []
     for k, flat in entries.items():

@@ -10,9 +10,9 @@ flows through either.
 
 Off the tape each op builds no full-size temporary: `gelu`, `layernorm`
 and `qkv_attention` write into one output they allocate and walk it in
-pieces of about CHUNK elements (attention in groups of heads, too),
-`add(..., out=)` writes into an operand its caller owns, and `reshape`
-returns a view.
+pieces of about CHUNK elements (attention in groups of heads, too, and in
+the same pieces on the tape), `add(..., out=)` writes into an operand its
+caller owns, and `reshape` returns a view.
 
 Two ops take a layer's input, so that a tape keeps no product that is one
 GEMM away from a buffer it holds anyway. `qkv_attention` projects q, k and
@@ -31,10 +31,11 @@ same operations on the same operands in the same order, so the gradients
 are those of kept values. Their backwards are pieced like their forwards:
 each writes into the gradient it allocates, piece by piece, with one piece
 of scratch; `layernorm` keeps g·x̂ whole only to sum it for the gain's
-gradient. The attention core keeps only its probabilities, and recomputes
-none of them: it splits q, v and g into heads as strided views, and makes
-kᵀ's contiguous per-head copy where a product reads it, once in the
-forward and once more in the backward.
+gradient. The attention core keeps only its probabilities, each piece's
+copied into one buffer, and recomputes none of them: it splits q, v and g
+into heads as strided views, and makes kᵀ's contiguous per-head copy
+where a product reads it, once per piece in the forward and once more in
+the backward.
 
 A backward returns new arrays it does not keep: `Tape.backward` keeps such
 a first gradient without a copy, and adds later gradients into it in place.
@@ -114,13 +115,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class MultiplyAddCounter:
-    """Counts matmul multiply-adds executed while active."""
+class count_multiply_adds:  # noqa: N801 - called like a function
+    """Context manager: tally in .multiply_adds the matmul multiply-adds of
+    the enclosed forward."""
 
     def __init__(self):
         self.multiply_adds = 0
 
-    def __enter__(self) -> "MultiplyAddCounter":
+    def __enter__(self) -> "count_multiply_adds":
         _COUNTER_STACK.append(self)
         return self
 
@@ -129,12 +131,7 @@ class MultiplyAddCounter:
         return False
 
 
-_COUNTER_STACK: list[MultiplyAddCounter] = []
-
-
-def count_multiply_adds() -> MultiplyAddCounter:
-    """Context manager: tally matmul multiply-adds of the enclosed forward."""
-    return MultiplyAddCounter()
+_COUNTER_STACK: list[count_multiply_adds] = []
 
 
 def _tally_matmul(out_shape: tuple[int, ...], inner: int) -> None:
@@ -387,32 +384,28 @@ def _head_bias(b: np.ndarray | None, index: np.ndarray | None, hs: slice) -> np.
     return b[..., hs, :, :] if b.ndim >= 3 and b.shape[-3] > 1 else b
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, b: np.ndarray | None, index: np.ndarray | None, pieced: bool):
-    """The softmax core's forward: the (..., n, dim) output, and the
-    (..., heads, n, n) probabilities when it ran as one piece (else None).
-    Pieced, it walks groups of heads whose one-row scores fill about a
-    CHUNK, each group's bias (`_head_bias`) made once and broadcast to one
-    row per row of q, a view wherever the strides allow; and in each group,
-    pieces of rows of about CHUNK elements of the group's q or scores."""
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, b: np.ndarray | None, index: np.ndarray | None, keep: bool):
+    """The softmax core's forward: the (..., n, dim) output, and with keep
+    the (..., heads, n, n) probabilities (else None). It walks groups of
+    heads whose one-row scores fill about a CHUNK, each group's bias
+    (`_head_bias`) made once and broadcast to one row per row of q, a view
+    wherever the strides allow; and in each group, pieces of rows of about
+    CHUNK elements of the group's q or scores. With keep, each piece's
+    probabilities are copied into one buffer."""
     dim, n = q.shape[-1], q.shape[-2]
     s = _scores_scale(dim, heads)
     out = np.empty(q.shape)
     lead = q.shape[:-2]
     rows = math.prod(lead)
-    views = (q, k, v, out)
-    if pieced:
-        views = tuple(x.reshape(rows, n, dim) for x in views)
-    qs, ks, vs, outs = (_split(x, heads) for x in views)
-    for hs in _pieces(heads, n * n) if pieced else [slice(None)]:
+    kept = np.empty((rows, heads, n, n)) if keep else None
+    qs, ks, vs, outs = (_split(x.reshape(rows, n, dim), heads) for x in (q, k, v, out))
+    for hs in _pieces(heads, n * n):
         gb = _head_bias(b, index, hs)
-        pieces = [...]  # one piece over the whole leading shape
-        if pieced:
-            pieces = _pieces(rows, n * len(range(heads)[hs]) * max(dim // heads, n))
-            if gb is not None:  # one bias row per row of q
-                tail = (1, 1, 1, *gb.shape)[-3:]
-                gb = np.broadcast_to(gb, (*lead, *tail)).reshape(rows, *tail)
-        for p in pieces:
-            qh, kh, vh = (x[p][..., hs, :, :] for x in (qs, ks, vs))
+        if gb is not None:  # one bias row per row of q
+            tail = (1, 1, 1, *gb.shape)[-3:]
+            gb = np.broadcast_to(gb, (*lead, *tail)).reshape(rows, *tail)
+        for p in _pieces(rows, n * len(range(heads)[hs]) * max(dim // heads, n)):
+            qh, kh, vh = (x[p, hs] for x in (qs, ks, vs))
             probs = matmul(_operand(qh), _operand(_keys_t(kh))).data
             probs *= s
             if gb is not None:
@@ -420,8 +413,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, b: np.ndarr
             probs -= probs.max(axis=-1, keepdims=True)
             np.exp(probs, out=probs)
             probs /= probs.sum(axis=-1, keepdims=True)
-            outs[p][..., hs, :, :] = matmul(_operand(probs), _operand(vh)).data
-    return out, None if pieced else probs
+            outs[p, hs] = matmul(_operand(probs), _operand(vh)).data
+            if keep:
+                kept[p, hs] = probs
+    return out, None if kept is None else kept.reshape(*lead, heads, n, n)
 
 
 def _attend_backward(g, probs, q, k, v, heads: int, bias_shape, needs):
@@ -494,10 +489,12 @@ def qkv_attention(
     Every product goes through the counted `matmul`, each projection's bias
     added in place; q, v and g enter the products as strided per-head
     views, and kᵀ as a contiguous per-head copy, since its layout sets the
-    last bits of q·kᵀ and of q's gradient. Off the tape, `_attend` walks
-    head groups and row pieces of about a CHUNK. When a tape records, the
-    op runs as one piece, and the backward forms q, k and v again with the
-    same expressions, runs the core's backward, then the projections' in
+    last bits of q·kᵀ and of q's gradient. On the tape or off it, `_attend`
+    walks head groups and row pieces of about a CHUNK, the blockwise
+    attention of Rabe & Staats (2021). When a tape records, it copies each
+    piece's probabilities into one (..., heads, n, n) buffer, and the
+    backward forms q, k and v again with the same expressions, runs the
+    core's backward on those probabilities, then the projections' in
     the order a tape of the composed ops replays them: x's gradient is
     ((gv·wvᵀ) + gk·wkᵀ) + gq·wqᵀ in one buffer, each weight's xᵀ·g, each
     bias's g summed as `add`'s backward sums it, and a table's `take`'s
@@ -511,7 +508,7 @@ def qkv_attention(
         index = _indices(index, bias.shape[0], "qkv_attention")
     projections = ((wq, bq), (wk, bk), (wv, bv))
     inputs = (x, wq, bq, wk, bk, wv, bv) + (() if bias is None else (bias,))
-    out, probs = _attend(*(_affine(x.data, w, b) for w, b in projections), heads, None if bias is None else bias.data, index, pieced=not _records(inputs))
+    out, probs = _attend(*(_affine(x.data, w, b) for w, b in projections), heads, None if bias is None else bias.data, index, keep=_records(inputs))
 
     def bwd(g):
         needs = [x.requires_grad or w.requires_grad or b.requires_grad for w, b in projections]

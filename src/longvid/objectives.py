@@ -51,39 +51,6 @@ def positive_labels(anchor_pos: np.ndarray, cand_pos: np.ndarray) -> np.ndarray:
     return np.abs(anchor_pos[..., :, None] - cand_pos[..., None, :]).argmin(axis=-1)
 
 
-def select_positive(anchor: int, candidates: list[int]) -> int:
-    """Candidate with minimal temporal distance; ties break to lower index."""
-    if not candidates:
-        raise EngineError("candidate set must be non-empty")
-    cands = np.sort(np.asarray(candidates, dtype=np.int64))
-    return int(cands[positive_labels(np.array([anchor]), cands)[0]])
-
-
-def _check_pair(M: int, sampling: MtcSampling, temperature: float) -> None:
-    if M < 2:
-        raise EngineError(f"need >= 2 representations per side, got {M}")
-    if sampling.anchors > M or sampling.candidates > M:
-        raise EngineError(f"cannot sample {sampling.anchors}/{sampling.candidates} from {M} positions")
-    if temperature <= 0:
-        raise EngineError("temperature must be > 0")
-
-
-def _position_rows(rngs, M: int, sampling: MtcSampling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each stream's next draws, anchors then candidates, without
-    replacement and sorted. Returns the anchor (B, k) and candidate (B, K)
-    rows of the flat (B·M, d) batch, stream b drawing for sample b, and
-    each anchor's label (B, k)."""
-    draws = [
-        (np.sort(rng.choice(M, size=sampling.anchors, replace=False)),
-         np.sort(rng.choice(M, size=sampling.candidates, replace=False)))
-        for rng in rngs
-    ]
-    anchor_pos = np.array([a for a, _ in draws], dtype=np.int64)
-    cand_pos = np.array([c for _, c in draws], dtype=np.int64)
-    offsets = M * np.arange(len(draws), dtype=np.int64)[:, None]
-    return anchor_pos + offsets, cand_pos + offsets, positive_labels(anchor_pos, cand_pos)
-
-
 def _mtc_kernel(
     anchor_flat: DiffArray,
     cand_flat: DiffArray,
@@ -106,32 +73,6 @@ def _mtc_kernel(
     anchors = O.take(anchor_flat, anchor_rows)  # (B, k, d)
     logits = O.scale(O.matmul(anchors, O.transpose(cands, (0, 2, 1))), 1.0 / temperature)
     return O.scale(O.sum(O.cross_entropy_logits(logits, labels)), 1.0 / B)
-
-
-def mtc_pair_loss(
-    anchor_reps: DiffArray,
-    candidate_reps: DiffArray,
-    negatives: DiffArray | None,
-    sampling: MtcSampling,
-    temperature: float,
-    rng: np.random.Generator,
-) -> DiffArray:
-    """Temporal contrastive loss for one aligned pair of sequences.
-
-    anchor_reps / candidate_reps: (M, d) unit-norm rows of the two
-    modalities. Draws the anchor and candidate index sets without
-    replacement, then for each anchor scores the candidates plus the given
-    cross-sample negatives and cross-entropies against the temporally
-    nearest candidate. The batch loss's kernel on a batch of one.
-    """
-    M = anchor_reps.shape[0]
-    if candidate_reps.shape[0] != M:
-        raise EngineError(f"sequence lengths differ: {M} vs {candidate_reps.shape[0]}")
-    _check_pair(M, sampling, temperature)
-    anchor_rows, cand_rows, labels = _position_rows([rng], M, sampling)
-    if negatives is not None:
-        negatives = O.reshape(negatives, (1, *negatives.shape))
-    return _mtc_kernel(anchor_reps, candidate_reps, anchor_rows, cand_rows, negatives, labels, temperature)
 
 
 _DIRECTION_TAGS = {"v2t": 1, "t2v": 2}
@@ -159,22 +100,27 @@ def mtc_plan(seed_key: tuple, direction: str, sample_keys: tuple, M: int, sampli
     """Every draw of one direction of `mtc_loss`, from the stream of each
     (direction, sample key): first the sample's cross-sample negatives,
     with replacement only when the B·M − M rows of the other samples are
-    fewer than asked, then its anchors, then its candidates.
+    fewer than asked, then its anchors, then its candidates, each set
+    without replacement and sorted. Sample b's rows are b·M plus positions.
 
     Pure in its arguments, so cached: the two entries hold both directions
     of one loss key, which the numeric evaluations of a gradient check all
     share.
     """
-    rngs = [sample_rng(seed_key, direction, key) for key in sample_keys]
-    pool, n = (len(rngs) - 1) * M, sampling.cross_negatives
-    negative_rows = np.empty((len(rngs), n), dtype=np.int64)
-    if n:
-        for b, rng in enumerate(rngs):
+    B, n = len(sample_keys), sampling.cross_negatives
+    pool = (B - 1) * M
+    negative_rows = np.empty((B, n), dtype=np.int64)
+    anchor_rows = np.empty((B, sampling.anchors), dtype=np.int64)
+    cand_rows = np.empty((B, sampling.candidates), dtype=np.int64)
+    for b, key in enumerate(sample_keys):
+        rng = sample_rng(seed_key, direction, key)
+        if n:
             # row j of the pool, which leaves out sample b's own M rows
             j = rng.choice(pool, size=n, replace=pool < n)
             negative_rows[b] = j + M * (j >= b * M)
-    anchor_rows, cand_rows, labels = _position_rows(rngs, M, sampling)
-    plan = MtcPlan(anchor_rows, cand_rows, negative_rows, labels)
+        anchor_rows[b] = b * M + np.sort(rng.choice(M, size=sampling.anchors, replace=False))
+        cand_rows[b] = b * M + np.sort(rng.choice(M, size=sampling.candidates, replace=False))
+    plan = MtcPlan(anchor_rows, cand_rows, negative_rows, positive_labels(anchor_rows, cand_rows))
     for rows in plan:
         rows.flags.writeable = False
     return plan
@@ -193,7 +139,12 @@ def mtc_loss(clip_reps: DiffArray, sentence_reps: DiffArray, sampling: MtcSampli
     B, M, d = clip_reps.shape
     if sentence_reps.shape != (B, M, d):
         raise EngineError(f"shape mismatch: {clip_reps.shape} vs {sentence_reps.shape}")
-    _check_pair(M, sampling, temperature)
+    if M < 2:
+        raise EngineError(f"need >= 2 representations per side, got {M}")
+    if sampling.anchors > M or sampling.candidates > M:
+        raise EngineError(f"cannot sample {sampling.anchors}/{sampling.candidates} from {M} positions")
+    if temperature <= 0:
+        raise EngineError("temperature must be > 0")
     if B == 1 and sampling.cross_negatives > 0:
         warnings.warn("batch of one sample has no cross-sample negatives; using none", stacklevel=2)
         sampling = MtcSampling(sampling.anchors, sampling.candidates, 0)

@@ -202,10 +202,14 @@ def adamw_step(state: TrainState, lr: float, cfg: Config) -> None:
     state.step = t
 
 
-def batch_indices(n: int, batch_size: int, steps: int, seed: int):
-    """Fixed-size minibatches, reshuffled each epoch, tail dropped."""
+def _check_batch_fits(n: int, batch_size: int) -> None:
     if batch_size > n:
         raise ConfigError(f"batch size {batch_size} exceeds dataset size {n}")
+
+
+def batch_indices(n: int, batch_size: int, steps: int, seed: int):
+    """Fixed-size minibatches, reshuffled each epoch, tail dropped."""
+    _check_batch_fits(n, batch_size)
     order = np.empty(0, dtype=np.int64)
     pos = 0
     epoch = 0
@@ -448,6 +452,7 @@ def train_stage2(
     The whole train split is encoded once by `encode_frozen`, before the
     first step; each step gathers its batch's rows and runs only the masked
     text forward and the two taped cross forwards."""
+    _check_batch_fits(len(train_data), cfg.train.batch_size)  # an empty split cannot be encoded
     model = build_stage2_model(cfg, cfg.seed, stage1_params)
     state = TrainState.fresh(model.params(), stage="stage2", frozen=STAGE2_FROZEN_PREFIXES)
     frozen = encode_frozen(model.stage1, train_data)

@@ -262,6 +262,25 @@ def test_attention_records_one_op_for_its_core():
     assert len(tape) == 9
 
 
+def _coordinate_index_map(window):
+    """The index map built from a (t, t, 3) array of coordinate offsets: the
+    reference for the per-axis build."""
+    w, sh, sw = window
+    coords = np.array([(t, i, j) for t in range(w) for i in range(sh) for j in range(sw)], dtype=np.int64)
+    delta = coords[:, None, :] - coords[None, :, :]
+    dt = delta[..., 0] + w - 1
+    dh = delta[..., 1] + sh - 1
+    dw = delta[..., 2] + sw - 1
+    return (dt * (2 * sh - 1) + dh) * (2 * sw - 1) + dw
+
+
+@pytest.mark.parametrize("window", [(1, 1, 1), (2, 2, 2), (2, 3, 5), (32, 1, 1), (32, 3, 5)], ids=lambda w: "x".join(map(str, w)))
+def test_relative_index_map_is_the_coordinate_offset_build(window):
+    index = relative_index_map(window)
+    assert index.dtype == np.int64
+    assert np.array_equal(index, _coordinate_index_map(window))
+
+
 def test_window_bias_is_one_gather_bitwise_the_old_lookup():
     # The old lookup gathered (t, t, heads) from the table, then transposed;
     # one gather from the transposed table gives the same bits, value and

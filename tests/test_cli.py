@@ -342,6 +342,15 @@ def test_shard_from_another_config_exits_config(workdir, capsys):
     assert "train.shard" in err and "data.patch_dim=4" in err and "has 8" in err
 
 
+@pytest.mark.parametrize("command", ["train-stage1", "train-stage2"])
+def test_empty_train_shard_exits_config(workdir, capsys, command):
+    assert main(["train-stage1", *FAST]) == EXIT_OK
+    write_shard(workdir / "data/toy/train.shard", [], load_config(overrides=FAST[1::2]).data)
+    capsys.readouterr()
+    assert main([command, *FAST]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: batch size 4 exceeds dataset size 0\n"
+
+
 def test_gradcheck_writes_report(workdir, capsys):
     code = main(["gradcheck", "--seeds", "0", *FAST])
     assert code == EXIT_OK

@@ -14,11 +14,9 @@ from longvid.objectives import (
     global_contrastive_loss,
     mlm_loss,
     mtc_loss,
-    mtc_pair_loss,
     mtc_plan,
     positive_labels,
     sample_rng,
-    select_positive,
     stage1_loss,
     stage2_loss,
     vtm_loss,
@@ -37,19 +35,22 @@ def unit_rows(rng, *shape):
 
 
 def test_positive_min_distance():
-    assert select_positive(1, [0, 3]) == 0
+    assert positive_labels(np.array([1]), np.array([0, 3]))[0] == 0
 
 
 def test_positive_tie_breaks_low_index():
-    assert select_positive(2, [1, 3]) == 1
+    assert positive_labels(np.array([2]), np.array([1, 3]))[0] == 0
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_positive_matches_brute_force_on_all_enumerations(m):
-    for size in range(1, m + 1):
-        for cands in itertools.combinations(range(m), size):
-            for anchor in range(m):
-                assert select_positive(anchor, list(cands)) == brute_force_positive(anchor, list(cands))
+    # every anchor and candidate count at M = m: each sample's plan rows lie
+    # in its own M rows, and each label picks the oracle's positive
+    for k, K in itertools.product(range(1, m + 1), repeat=2):
+        plan = mtc_plan((m,), "v2t", (0, 1, 2), m, MtcSampling(k, K, 0))
+        for b, (anchors, cands, labels) in enumerate(zip(plan.anchor_rows, plan.candidate_rows, plan.labels)):
+            assert (anchors // m == b).all() and (cands // m == b).all()
+            assert [int(cands[j]) for j in labels] == [brute_force_positive(int(a), list(cands)) for a in anchors]
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -62,7 +63,7 @@ def test_positive_labels_match_brute_force_on_every_anchor_and_candidate_set(m):
 
 
 # ---------------------------------------------------------------------------
-# pair loss
+# batch loss
 # ---------------------------------------------------------------------------
 
 
@@ -72,74 +73,78 @@ def _reproduce_draws(m, sampling, rng):
     return anchor_idx, cand_idx
 
 
+def _pool_negatives(reps, b, count, rng):
+    """Rows of every sample but b, picked from a listed (sample, position)
+    pool: the draw the batch loss reproduces without listing the pool."""
+    if not count:
+        return None
+    B, M, _ = reps.shape
+    pool = [(c, m) for c in range(B) if c != b for m in range(M)]
+    pick = rng.choice(len(pool), size=count, replace=len(pool) < count)
+    return np.stack([reps[pool[j]] for j in pick])
+
+
+def _oracle_loss(v, t, sampling, seed_key):
+    """`mtc_loss` of (B, M, d) rows at temperature 0.05, recomputed per pair
+    by the scalar oracle, each sample's draws replayed from its stream."""
+    B, M, _ = v.shape
+    if B == 1:
+        sampling = MtcSampling(sampling.anchors, sampling.candidates, 0)
+    terms = []
+    for direction, anchors, cands in (("v2t", v, t), ("t2v", t, v)):
+        for b in range(B):
+            draws = sample_rng(seed_key, direction, b)
+            negs = _pool_negatives(cands, b, sampling.cross_negatives, draws)
+            anchor_idx, cand_idx = _reproduce_draws(M, sampling, draws)
+            terms.append(brute_force_pair_loss(anchors[b], cands[b], negs, anchor_idx, cand_idx, 0.05))
+    return sum(terms) / len(terms)
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_pair_loss_matches_scalar_recomputation(seed):
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(2, 7))
+    batch, m = int(rng.integers(2, 4)), int(rng.integers(2, 7))
     sampling = MtcSampling(int(rng.integers(1, m + 1)), int(rng.integers(1, m + 1)), int(rng.integers(0, 4)))
-    v = unit_rows(rng, m, 6)
-    t = unit_rows(rng, m, 6)
-    negs = unit_rows(rng, sampling.cross_negatives, 6) if sampling.cross_negatives else None
-
-    draw_rng = np.random.default_rng([seed, 55])
-    loss = mtc_pair_loss(
-        constant(v), constant(t), None if negs is None else constant(negs), sampling, 0.05, draw_rng
-    )
-    replay_rng = np.random.default_rng([seed, 55])
-    anchor_idx, cand_idx = _reproduce_draws(m, sampling, replay_rng)
-    expected = brute_force_pair_loss(v, t, negs, anchor_idx, cand_idx, 0.05)
-    assert abs(loss.item() - expected) < 1e-10
+    v = unit_rows(rng, batch, m, 6)
+    t = unit_rows(rng, batch, m, 6)
+    loss = mtc_loss(constant(v), constant(t), sampling, 0.05, seed_key=(seed, 55))
+    assert abs(loss.item() - _oracle_loss(v, t, sampling, (seed, 55))) < 1e-10
 
 
 def test_pair_loss_prefers_aligned_over_shuffled():
     rng = np.random.default_rng(3)
-    base = unit_rows(rng, 4, 16)
-    v = base
-    t = base  # perfectly aligned
+    base = unit_rows(rng, 2, 4, 16)
     sampling = MtcSampling(anchors=2, candidates=2, cross_negatives=0)
-    aligned = mtc_pair_loss(constant(v), constant(t), None, sampling, 0.05, np.random.default_rng(7))
-    shuffled = mtc_pair_loss(constant(v), constant(t[::-1].copy()), None, sampling, 0.05, np.random.default_rng(7))
+    aligned = mtc_loss(constant(base), constant(base), sampling, 0.05, seed_key=(7,))
+    shuffled = mtc_loss(constant(base), constant(base[:, ::-1].copy()), sampling, 0.05, seed_key=(7,))
     assert aligned.item() < shuffled.item()
 
 
 def test_pair_loss_rejects_short_sequences():
-    v = constant(unit_rows(np.random.default_rng(0), 1, 4))
+    v = constant(unit_rows(np.random.default_rng(0), 2, 1, 4))
     with pytest.raises(EngineError):
-        mtc_pair_loss(v, v, None, MtcSampling(1, 1, 0), 0.05, np.random.default_rng(0))
+        mtc_loss(v, v, MtcSampling(1, 1, 0), 0.05, seed_key=(0,))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_pair_loss_gradient(seed):
+    # one sample, so no cross-sample negatives
     rng = np.random.default_rng(seed)
-    v_raw = parameter(rng.normal(size=(4, 6)))
-    t_raw = parameter(rng.normal(size=(4, 6)))
+    v_raw = parameter(rng.normal(size=(1, 4, 6)))
+    t_raw = parameter(rng.normal(size=(1, 4, 6)))
     sampling = MtcSampling(2, 2, 0)
 
     def f(v_raw, t_raw):
-        return mtc_pair_loss(
-            l2_normalize(v_raw), l2_normalize(t_raw), None, sampling, 0.5, np.random.default_rng([seed, 9])
-        )
+        return mtc_loss(l2_normalize(v_raw), l2_normalize(t_raw), sampling, 0.5, seed_key=(seed, 9))
 
     assert check_gradients(f, [v_raw, t_raw], rtol=1e-3).ok
-
-
-# ---------------------------------------------------------------------------
-# batch loss
-# ---------------------------------------------------------------------------
 
 
 def test_batch_loss_single_sample_directions_agree():
     rng = np.random.default_rng(4)
     reps = unit_rows(rng, 1, 4, 8)
-    sampling = MtcSampling(2, 2, 0)
-    loss = mtc_loss(constant(reps), constant(reps), sampling, 0.05, seed_key=(1, 2))
-    v2t = mtc_pair_loss(
-        constant(reps[0]), constant(reps[0]), None, sampling, 0.05, sample_rng((1, 2), "v2t", 0)
-    )
-    t2v = mtc_pair_loss(
-        constant(reps[0]), constant(reps[0]), None, sampling, 0.05, sample_rng((1, 2), "t2v", 0)
-    )
-    assert loss.item() == pytest.approx((v2t.item() + t2v.item()) / 2, rel=1e-12)
+    loss = mtc_loss(constant(reps), constant(reps), MtcSampling(2, 2, 0), 0.05, seed_key=(1, 2))
+    assert abs(loss.item() - _oracle_loss(reps, reps, MtcSampling(2, 2, 0), (1, 2))) < 1e-10
 
 
 def test_batch_loss_warns_on_single_sample_with_negatives():
@@ -170,15 +175,6 @@ def test_batch_loss_gradient(seed):
     assert check_gradients(f, [v_raw, t_raw], rtol=1e-3).ok
 
 
-def _pool_negatives(reps, b, count, rng):
-    """Rows of every sample but b, picked from a listed (sample, position)
-    pool: the draw the batch loss reproduces without listing the pool."""
-    B, M, _ = reps.shape
-    pool = [(c, m) for c in range(B) if c != b for m in range(M)]
-    pick = rng.choice(len(pool), size=count, replace=len(pool) < count)
-    return np.stack([reps[pool[j]] for j in pick])
-
-
 @pytest.mark.parametrize("batch", [2, 3, 8])
 @pytest.mark.parametrize("sampling", [MtcSampling(2, 2, 3), MtcSampling(3, 1, 14), MtcSampling(1, 4, 1)])
 def test_batch_loss_matches_scalar_recomputation(batch, sampling):
@@ -186,14 +182,7 @@ def test_batch_loss_matches_scalar_recomputation(batch, sampling):
     v = unit_rows(rng, batch, 4, 6)
     t = unit_rows(rng, batch, 4, 6)
     loss = mtc_loss(constant(v), constant(t), sampling, 0.05, seed_key=(batch, 3))
-    terms = []
-    for direction, anchors, cands in (("v2t", v, t), ("t2v", t, v)):
-        for b in range(batch):
-            draws = sample_rng((batch, 3), direction, b)
-            negs = _pool_negatives(cands, b, sampling.cross_negatives, draws)
-            anchor_idx, cand_idx = _reproduce_draws(4, sampling, draws)
-            terms.append(brute_force_pair_loss(anchors[b], cands[b], negs, anchor_idx, cand_idx, 0.05))
-    assert abs(loss.item() - sum(terms) / len(terms)) < 1e-10
+    assert abs(loss.item() - _oracle_loss(v, t, sampling, (batch, 3))) < 1e-10
 
 
 def test_batch_loss_records_the_same_ops_at_any_batch():
